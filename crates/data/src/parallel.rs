@@ -54,36 +54,6 @@ where
     });
 }
 
-/// Applies `f` to paired elements of two equal-length slices in parallel.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn par_zip_mut<A: Send, B: Send, F>(a: &mut [A], b: &mut [B], f: F)
-where
-    F: Fn(usize, &mut A, &mut B) + Sync,
-{
-    assert_eq!(a.len(), b.len(), "par_zip_mut length mismatch");
-    let threads = num_threads();
-    if a.len() <= 1 || threads <= 1 {
-        for (i, (x, y)) in a.iter_mut().zip(b.iter_mut()).enumerate() {
-            f(i, x, y);
-        }
-        return;
-    }
-    let chunk = a.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for (c, (sa, sb)) in a.chunks_mut(chunk).zip(b.chunks_mut(chunk)).enumerate() {
-            let f = &f;
-            s.spawn(move || {
-                for (i, (x, y)) in sa.iter_mut().zip(sb.iter_mut()).enumerate() {
-                    f(c * chunk + i, x, y);
-                }
-            });
-        }
-    });
-}
-
 /// Computes `f(i)` for `i in 0..n` in parallel and returns the results in
 /// index order.
 ///
@@ -195,19 +165,5 @@ mod tests {
             assert_eq!(ci, 0);
             assert_eq!(c.len(), 3);
         });
-    }
-
-    #[test]
-    fn par_zip_mut_pairs_correctly() {
-        let mut a: Vec<usize> = (0..500).collect();
-        let mut b: Vec<usize> = vec![0; 500];
-        par_zip_mut(&mut a, &mut b, |i, x, y| {
-            *x += 1;
-            *y = i * 10;
-        });
-        for i in 0..500 {
-            assert_eq!(a[i], i + 1);
-            assert_eq!(b[i], i * 10);
-        }
     }
 }

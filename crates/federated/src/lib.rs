@@ -43,7 +43,6 @@
 #![warn(missing_docs)]
 
 use cia_data::UserId;
-use cia_models::parallel::par_zip_mut;
 use cia_models::params::weighted_mean;
 use cia_models::{ClientStore, Participant, SharedModel, UpdateTransform};
 use cia_obs::{Counter, Metric, Recorder};
@@ -201,7 +200,7 @@ pub struct FedAvg<P: Participant> {
     /// Shared with the client store in sharded mode so every materialized
     /// byte lands in one registry.
     obs: Recorder,
-    /// Invoked when the evented round's scheduled
+    /// Invoked when a dense round's scheduled
     /// [`Msg::GlobalBroadcast`] event fires: `(round, clients, global)`.
     /// The scenario runner installs snapshot publication to `cia-serve`
     /// here, making publication a scheduled event instead of an
@@ -300,8 +299,8 @@ impl<P: Participant> FedAvg<P> {
     }
 
     /// Installs the post-broadcast publication hook (see [`PublishHook`]).
-    /// Only the evented path ([`FedAvg::step_evented`]) schedules the
-    /// [`Msg::GlobalBroadcast`] event that fires it.
+    /// Every dense round schedules the [`Msg::GlobalBroadcast`] event that
+    /// fires it; sharded rounds never publish.
     pub fn set_publish_hook(&mut self, hook: PublishHook<P>) {
         self.publish_hook = Some(hook);
     }
@@ -402,193 +401,13 @@ impl<P: Participant> FedAvg<P> {
     }
 
     /// Runs one round: sample, broadcast, local training, transform,
-    /// observe, aggregate.
+    /// observe, aggregate — [`FedAvg::step_evented`] under FIFO delivery.
     pub fn step(&mut self, observer: &mut dyn RoundObserver) -> RoundStats {
-        if self.store.is_sharded() {
-            return self.step_sharded(observer);
-        }
-        let t = self.round;
-        let obs = self.obs.clone();
-        let bytes0 = obs.counter(Counter::BytesMaterialized);
-        let FedAvg { store, global_agg, cfg, transform, slots, acc, .. } = &mut *self;
-        let clients = store.as_dense_mut().expect("dense step");
-        let n = clients.len();
-        let cfg = *cfg;
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-
-        // Sample participants.
-        let sample_span = obs.span("sample");
-        let mut sampled: Vec<bool> = if cfg.participation >= 1.0 {
-            vec![true; n]
-        } else {
-            let k = ((n as f64 * cfg.participation).round() as usize).clamp(1, n);
-            let mut idx: Vec<usize> = (0..n).collect();
-            idx.shuffle(&mut rng);
-            let mut mask = vec![false; n];
-            for &i in idx.iter().take(k) {
-                mask[i] = true;
-            }
-            mask
-        };
-
-        observer.on_round_start(t);
-        observer.on_liveness(LivenessEvent::ActingSet { round: t, mask: &mut sampled });
-        observer.on_global(t, global_agg);
-        drop(sample_span);
-
-        // Snapshots are materialized only when something consumes them: the
-        // observer, or the DP transform (which aggregates transformed
-        // parameters instead of the clients' own).
-        let materialize = transform.is_some() || observer.observes_models();
-
-        // Per-client work deposited into aligned, buffer-reusing slots.
-        let global: &[f32] = global_agg;
-        let transform = transform.as_deref();
-        for (slot, &s) in slots.iter_mut().zip(&sampled) {
-            slot.sampled = s;
-            slot.loss = 0.0;
-        }
-        let per_client =
-            |i: usize, client: &mut P, slot: &mut RoundSlot, acc: Option<(f32, &mut [f32])>| {
-                if !slot.sampled {
-                    return;
-                }
-                let t0 = obs.clock();
-                let mut crng = StdRng::seed_from_u64(
-                    cfg.seed ^ (t << 20) ^ (i as u64).wrapping_mul(0x5851_F42D),
-                );
-                if let Some(tr) = transform {
-                    // DP path: the transform needs the pre-round embedding
-                    // and rewrites the materialized snapshot.
-                    client.absorb_agg(global);
-                    let emb_before: Option<Vec<f32>> = client.owner_emb().map(<[f32]>::to_vec);
-                    let mut loss = 0.0;
-                    for _ in 0..cfg.local_epochs.max(1) {
-                        loss = client.train_local(&mut crng);
-                    }
-                    slot.loss = loss;
-                    client.snapshot_into(t, &mut slot.model);
-                    apply_update_transform(
-                        tr,
-                        &mut slot.model,
-                        global,
-                        emb_before.as_deref(),
-                        &mut crng,
-                    );
-                } else {
-                    slot.loss = client.fed_round(global, cfg.local_epochs, &mut crng, acc);
-                    if materialize {
-                        client.snapshot_into(t, &mut slot.model);
-                    }
-                }
-                obs.observe_since(Metric::TrainMicros, t0);
-            };
-        // Pre-compute the sparse-aggregation weights so the single-thread
-        // path can fold each client's contribution while its parameters are
-        // still cache-hot. The parallel path runs the same accumulation as a
-        // separate pass; both visit clients in index order over identical
-        // inputs, so the result is bit-identical for every thread count.
-        let weight_of = |client: &P| match cfg.weighting {
-            Weighting::Uniform => 1.0,
-            Weighting::ByExamples => client.num_examples().max(1) as f32,
-        };
-        let sparse_agg = transform.is_none();
-        let total: f32 = clients
-            .iter()
-            .zip(&*slots)
-            .filter(|(_, slot)| slot.sampled)
-            .map(|(client, _)| weight_of(client))
-            .sum();
-        acc.resize(global.len(), 0.0);
-        acc.fill(0.0);
-        let train_span = obs.span("train");
-        if cia_models::parallel::num_threads() <= 1 {
-            for (i, (client, slot)) in clients.iter_mut().zip(slots.iter_mut()).enumerate() {
-                let sink = if sparse_agg && total > 0.0 {
-                    Some((weight_of(client) / total, acc.as_mut_slice()))
-                } else {
-                    None
-                };
-                per_client(i, client, slot, sink);
-            }
-        } else {
-            par_zip_mut(clients, slots, |i, client, slot| {
-                per_client(i, client, slot, None);
-            });
-            if sparse_agg && total > 0.0 {
-                for (client, slot) in clients.iter().zip(&*slots) {
-                    if slot.sampled {
-                        client.accumulate_update(global, weight_of(client) / total, acc);
-                    }
-                }
-            }
-        }
-        drop(train_span);
-
-        // Observe in deterministic (user-id) order. Dense clients are
-        // permanently resident, so the round's materialization cost is the
-        // snapshot buffers refilled for the observer / DP transform.
-        let attack_span = obs.span("attack");
-        let mut loss_sum = 0.0f32;
-        let mut participants = 0usize;
-        for slot in &*slots {
-            if slot.sampled {
-                if materialize {
-                    observer.on_client_model(&slot.model);
-                    obs.add(Counter::BytesMaterialized, 4 * slot.model.len() as u64);
-                }
-                loss_sum += slot.loss;
-                participants += 1;
-            }
-        }
-        drop(attack_span);
-        obs.add(Counter::ClientsTrained, participants as u64);
-        // Aggregate. An all-offline round (dynamics can empty the mask)
-        // keeps the previous global — nothing arrived to aggregate.
-        let aggregate_span = obs.span("aggregate");
-        if participants > 0 {
-            if sparse_agg {
-                // Sparse path: every client contributed
-                // `w̃ᵢ · (aggᵢ − global)` over only the parameters its local
-                // training touched (Σ w̃ᵢ = 1, so
-                // `global + Σ w̃ᵢ·(aggᵢ − global) = Σ w̃ᵢ·aggᵢ`) — already
-                // folded into `acc` above, in client index order.
-                for (g, a) in global_agg.iter_mut().zip(&*acc) {
-                    *g += a;
-                }
-            } else {
-                // Transformed parameters live only in the snapshots: dense
-                // weighted mean over the materialized models.
-                let mut rows: Vec<&[f32]> = Vec::with_capacity(participants);
-                let mut weights: Vec<f32> = Vec::with_capacity(participants);
-                for (client, slot) in clients.iter().zip(&*slots) {
-                    if slot.sampled {
-                        rows.push(&slot.model.agg);
-                        weights.push(weight_of(client));
-                    }
-                }
-                let mut new_global = vec![0.0f32; global_agg.len()];
-                weighted_mean(&mut new_global, &rows, &weights);
-                *global_agg = new_global;
-            }
-        }
-        drop(aggregate_span);
-
-        let stats = RoundStats {
-            round: t,
-            participants,
-            mean_loss: (participants > 0).then(|| loss_sum / participants as f32),
-            bytes_materialized: obs.counter(Counter::BytesMaterialized) - bytes0,
-        };
-        let evaluate_span = obs.span("evaluate");
-        observer.on_round_end(&stats);
-        drop(evaluate_span);
-        self.round += 1;
-        stats
+        self.step_evented(observer, DeliveryPolicy::Lockstep)
     }
 
     /// One round over a sharded store: identical sampling, RNG streams,
-    /// visit order and aggregation math as the dense single-thread path —
+    /// visit order and aggregation math as the dense evented round —
     /// bit-identical results — but each sampled client is rebuilt on demand,
     /// trains inside the shared workspace, and retires back to its compact
     /// descriptor before the next client materializes.
@@ -597,24 +416,10 @@ impl<P: Participant> FedAvg<P> {
         let t = self.round;
         let obs = self.obs.clone();
         let bytes0 = obs.counter(Counter::BytesMaterialized);
-        let n = self.store.len();
         let cfg = self.cfg;
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
 
         let sample_span = obs.span("sample");
-        let mut sampled: Vec<bool> = if cfg.participation >= 1.0 {
-            vec![true; n]
-        } else {
-            let k = ((n as f64 * cfg.participation).round() as usize).clamp(1, n);
-            let mut idx: Vec<usize> = (0..n).collect();
-            idx.shuffle(&mut rng);
-            let mut mask = vec![false; n];
-            for &i in idx.iter().take(k) {
-                mask[i] = true;
-            }
-            mask
-        };
-
+        let mut sampled = sample_participants(self.store.len(), &cfg, t);
         observer.on_round_start(t);
         observer.on_liveness(LivenessEvent::ActingSet { round: t, mask: &mut sampled });
         observer.on_global(t, &self.global_agg);
@@ -647,8 +452,7 @@ impl<P: Participant> FedAvg<P> {
         for (i, _) in sampled.iter().enumerate().filter(|&(_, &s)| s) {
             let t0 = obs.clock();
             let mut client = self.store.materialize(i);
-            let mut crng =
-                StdRng::seed_from_u64(cfg.seed ^ (t << 20) ^ (i as u64).wrapping_mul(0x5851_F42D));
+            let mut crng = client_rng(&cfg, t, i);
             let sink = if total > 0.0 {
                 Some((weight_of(&self.store, i) / total, self.acc.as_mut_slice()))
             } else {
@@ -702,28 +506,24 @@ impl<P: Participant> FedAvg<P> {
     /// deterministic virtual-clock scheduler, closed by a scheduled
     /// [`Msg::GlobalBroadcast`].
     ///
-    /// Compatibility contract: under *any* [`DeliveryPolicy`] this replays
-    /// [`FedAvg::step`]'s lockstep semantics bit for bit — same RNG streams,
-    /// same visit order, same float operations. Aggregation rides the
-    /// participant chain: each `TrainRequest` threads the shared sparse
-    /// accumulator to exactly one in-flight client, which folds its update
-    /// via the same fused [`Participant::fed_round`] sink the lockstep
-    /// single-thread path uses. Reordering is impossible by construction
-    /// (one message in flight), so interleaving seeds cannot change bytes.
+    /// Aggregation rides the participant chain: each `TrainRequest` threads
+    /// the shared sparse accumulator to exactly one in-flight client, which
+    /// folds its update via the fused [`Participant::fed_round`] sink while
+    /// its parameters are cache-hot. Clients train and fold in ascending
+    /// index order, and reordering is impossible by construction (one
+    /// message in flight), so every [`DeliveryPolicy`] produces the same
+    /// bytes.
     ///
-    /// # Panics
-    ///
-    /// Panics on a sharded store — the lazy materialization path stays
-    /// lockstep (see [`FedAvg::sharded`]).
+    /// Sharded stores run `step_sharded`, the lazy shared-workspace round
+    /// (see [`FedAvg::sharded`]), which is bit-identical to this dense round.
     pub fn step_evented(
         &mut self,
         observer: &mut dyn RoundObserver,
         policy: DeliveryPolicy,
     ) -> RoundStats {
-        assert!(
-            !self.store.is_sharded(),
-            "evented rounds need a dense store; sharded (million-scale) runs stay lockstep"
-        );
+        if self.store.is_sharded() {
+            return self.step_sharded(observer);
+        }
         let t = self.round;
         let obs = self.obs.clone();
         let bytes0 = obs.counter(Counter::BytesMaterialized);
@@ -776,7 +576,7 @@ impl<P: Participant> FedAvg<P> {
             sched.timer_at(base + 2, SERVER, Msg::RoundEnd { round: t });
             sched.run_until(base, &mut nodes);
             // The whole request/update chain lives at slot 1 — one "train"
-            // span covers it, exactly like the lockstep round.
+            // span covers it.
             let train_span = obs.span("train");
             sched.run_until(base + 1, &mut nodes);
             drop(train_span);
@@ -813,7 +613,7 @@ enum FlNode<'a, P: Participant> {
 }
 
 /// The server's per-round working state (borrows the simulation's persistent
-/// buffers so the evented round reuses exactly the lockstep allocations).
+/// buffers so every round reuses the same allocations).
 struct ServerRound<'a> {
     observer: &'a mut dyn RoundObserver,
     global: &'a mut Vec<f32>,
@@ -871,26 +671,16 @@ impl ServerRound<'_> {
 
     fn round_start(&mut self, t: u64, ctx: &mut Ctx<'_>) {
         let n = self.slots.len();
-        let cfg = self.cfg;
-        let mut rng = StdRng::seed_from_u64(cfg.seed ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let sample_span = self.obs.span("sample");
-        let mut sampled: Vec<bool> = if cfg.participation >= 1.0 {
-            vec![true; n]
-        } else {
-            let k = ((n as f64 * cfg.participation).round() as usize).clamp(1, n);
-            let mut idx: Vec<usize> = (0..n).collect();
-            idx.shuffle(&mut rng);
-            let mut mask = vec![false; n];
-            for &i in idx.iter().take(k) {
-                mask[i] = true;
-            }
-            mask
-        };
+        let mut sampled = sample_participants(n, &self.cfg, t);
         self.observer.on_round_start(t);
         self.observer.on_liveness(LivenessEvent::ActingSet { round: t, mask: &mut sampled });
         self.observer.on_global(t, self.global);
         drop(sample_span);
 
+        // Snapshots are materialized only when something consumes them: the
+        // observer, or the DP transform (which aggregates transformed
+        // parameters instead of the clients' own).
         self.materialize = self.dp || self.observer.observes_models();
         for (slot, &s) in self.slots.iter_mut().zip(&sampled) {
             slot.sampled = s;
@@ -931,8 +721,9 @@ impl ServerRound<'_> {
     }
 
     fn round_end(&mut self, t: u64, ctx: &mut Ctx<'_>) {
-        // Observe in deterministic (index) order — byte-identical to the
-        // lockstep attack phase.
+        // Observe in deterministic (user-id) order. Dense clients are
+        // permanently resident, so the round's materialization cost is the
+        // snapshot buffers refilled for the observer / DP transform.
         let attack_span = self.obs.span("attack");
         let mut loss_sum = 0.0f32;
         let mut participants = 0usize;
@@ -948,13 +739,21 @@ impl ServerRound<'_> {
         }
         drop(attack_span);
         self.obs.add(Counter::ClientsTrained, participants as u64);
+        // Aggregate. An all-offline round (dynamics can empty the mask)
+        // keeps the previous global — nothing arrived to aggregate.
         let aggregate_span = self.obs.span("aggregate");
         if participants > 0 {
             if !self.dp {
+                // Sparse path: every client folded `w̃ᵢ · (aggᵢ − global)`
+                // over only the parameters its local training touched into
+                // `acc`, in client index order (Σ w̃ᵢ = 1, so
+                // `global + Σ w̃ᵢ·(aggᵢ − global) = Σ w̃ᵢ·aggᵢ`).
                 for (g, a) in self.global.iter_mut().zip(self.acc.iter()) {
                     *g += a;
                 }
             } else {
+                // Transformed parameters live only in the snapshots: dense
+                // weighted mean over the materialized models.
                 let mut rows: Vec<&[f32]> = Vec::with_capacity(participants);
                 let mut weights: Vec<f32> = Vec::with_capacity(participants);
                 for (slot, &w) in self.slots.iter().zip(&self.weights) {
@@ -984,8 +783,9 @@ impl ServerRound<'_> {
 }
 
 impl<P: Participant> ClientSeat<'_, P> {
-    /// The lockstep per-client body, verbatim: same RNG stream, same DP vs.
-    /// fused-sink split, same snapshot fill.
+    /// One client's round: local training on its own RNG stream, then
+    /// either the DP transform on a fresh snapshot (the transform needs the
+    /// pre-round embedding) or the fused sparse-accumulator fold.
     fn train(
         &mut self,
         round: u64,
@@ -998,8 +798,7 @@ impl<P: Participant> ClientSeat<'_, P> {
         let cfg = self.cfg;
         let i = self.index;
         let t0 = self.obs.clock();
-        let mut crng =
-            StdRng::seed_from_u64(cfg.seed ^ (round << 20) ^ (i as u64).wrapping_mul(0x5851_F42D));
+        let mut crng = client_rng(&cfg, round, i);
         let mut loss;
         if let Some(tr) = self.transform {
             self.client.absorb_agg(global);
@@ -1055,6 +854,29 @@ impl<P: Participant> Node for FlNode<'_, P> {
 /// every observer call).
 fn empty_snap_slot() -> SharedModel {
     SharedModel { owner: UserId::new(0), round: 0, owner_emb: None, agg: Vec::new() }
+}
+
+/// The round's tentative participant mask: everyone under full
+/// participation, else `round(n · participation)` clients (at least one)
+/// drawn from the round's own RNG stream.
+fn sample_participants(n: usize, cfg: &FedAvgConfig, t: u64) -> Vec<bool> {
+    if cfg.participation >= 1.0 {
+        return vec![true; n];
+    }
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ t.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let k = ((n as f64 * cfg.participation).round() as usize).clamp(1, n);
+    let mut idx: Vec<usize> = (0..n).collect();
+    idx.shuffle(&mut rng);
+    let mut mask = vec![false; n];
+    for &i in idx.iter().take(k) {
+        mask[i] = true;
+    }
+    mask
+}
+
+/// Client `i`'s training (and DP noise) RNG stream for round `t`.
+fn client_rng(cfg: &FedAvgConfig, t: u64, i: usize) -> StdRng {
+    StdRng::seed_from_u64(cfg.seed ^ (t << 20) ^ (i as u64).wrapping_mul(0x5851_F42D))
 }
 
 /// Applies a DP-style transform to the *update* encoded by `snap` relative to
@@ -1313,6 +1135,7 @@ mod tests {
         assert_eq!(stats.participants, 0);
         assert_eq!(stats.mean_loss, None);
         assert_eq!(sim.global_agg(), before.as_slice());
+        assert_eq!(sim.round(), 1);
     }
 
     /// One observed snapshot: (round, owner, owner_emb, agg).
@@ -1506,6 +1329,15 @@ mod tests {
                 "one {phase} span per round"
             );
         }
+        // The per-message trace: every train request and model update gets
+        // its own span slice nested under the round's train phase.
+        for msg in ["msg:train_request", "msg:model_update"] {
+            assert_eq!(
+                chunk.spans.iter().filter(|s| s.name == msg).count(),
+                20,
+                "one {msg} span per sampled client per round"
+            );
+        }
     }
 
     #[test]
@@ -1532,58 +1364,52 @@ mod tests {
         assert_eq!(resumed.global_agg(), straight.global_agg());
     }
 
-    /// Runs lockstep and evented from identical state, comparing every
-    /// observable byte: the observed model stream, round stats, the final
-    /// global, and every client's private state.
-    fn assert_evented_matches_lockstep(
+    /// Runs FIFO and seeded-interleaved delivery from identical state,
+    /// comparing every observable byte: the observed model stream, round
+    /// stats, the final global, and every client's private state.
+    fn assert_interleaving_matches_fifo(
         mut make: impl FnMut() -> FedAvg<cia_models::GmfClient>,
         rounds: u64,
-        policy: DeliveryPolicy,
+        seed: u64,
     ) {
-        let mut lockstep = make();
-        let mut lock_tape = ModelTape::default();
+        let mut fifo = make();
+        let mut fifo_tape = ModelTape::default();
         for _ in 0..rounds {
-            lockstep.step(&mut lock_tape);
+            fifo.step_evented(&mut fifo_tape, DeliveryPolicy::Lockstep);
         }
 
-        let mut evented = make();
-        let mut ev_tape = ModelTape::default();
+        let mut shuffled = make();
+        let mut shuffled_tape = ModelTape::default();
         for _ in 0..rounds {
-            evented.step_evented(&mut ev_tape, policy);
+            shuffled.step_evented(&mut shuffled_tape, DeliveryPolicy::Interleaved { seed });
         }
 
-        assert_eq!(lock_tape.models, ev_tape.models);
-        assert_eq!(lock_tape.stats, ev_tape.stats);
-        assert_eq!(lockstep.global_agg(), evented.global_agg());
-        for (l, e) in lockstep.clients().iter().zip(evented.clients()) {
+        assert_eq!(fifo_tape.models, shuffled_tape.models);
+        assert_eq!(fifo_tape.stats, shuffled_tape.stats);
+        assert_eq!(fifo.global_agg(), shuffled.global_agg());
+        for (l, e) in fifo.clients().iter().zip(shuffled.clients()) {
             assert_eq!(l.state_vec(), e.state_vec());
         }
     }
 
     #[test]
-    fn evented_round_replays_lockstep_bit_for_bit() {
-        assert_evented_matches_lockstep(
-            || make_sim(10, 3, SharingPolicy::Full),
-            3,
-            DeliveryPolicy::Lockstep,
-        );
-    }
-
-    #[test]
-    fn evented_round_matches_lockstep_with_partial_participation() {
-        let make = || {
+    fn interleaving_seeds_cannot_change_fl_bytes() {
+        // The request/update chain keeps exactly one message in flight, so
+        // any interleaving seed degenerates to the FIFO order — under
+        // partial participation, weighting by examples and DP alike.
+        let partial = || {
+            let mut sim = make_sim(9, 2, SharingPolicy::Full);
+            sim.cfg.participation = 0.6;
+            sim
+        };
+        let by_examples = || {
             let mut sim = make_sim(12, 4, SharingPolicy::Full);
             sim.cfg.participation = 0.5;
             sim.cfg.weighting = Weighting::ByExamples;
             sim
         };
-        assert_evented_matches_lockstep(make, 4, DeliveryPolicy::Lockstep);
-    }
-
-    #[test]
-    fn evented_round_matches_lockstep_under_dp() {
-        use cia_defenses::{DpConfig, DpMechanism};
-        let make = || {
+        let dp = || {
+            use cia_defenses::{DpConfig, DpMechanism};
             let mut sim = make_sim(8, 3, SharingPolicy::Full);
             sim.set_update_transform(Box::new(DpMechanism::new(DpConfig {
                 clip: 1.0,
@@ -1591,32 +1417,11 @@ mod tests {
             })));
             sim
         };
-        assert_evented_matches_lockstep(make, 3, DeliveryPolicy::Lockstep);
-    }
-
-    #[test]
-    fn interleaving_seeds_cannot_change_fl_bytes() {
-        // The request/update chain keeps exactly one message in flight, so
-        // any interleaving seed degenerates to the lockstep order.
         for seed in [0u64, 7, 0xDEAD_BEEF] {
-            let make = || {
-                let mut sim = make_sim(9, 2, SharingPolicy::Full);
-                sim.cfg.participation = 0.6;
-                sim
-            };
-            assert_evented_matches_lockstep(make, 2, DeliveryPolicy::Interleaved { seed });
+            assert_interleaving_matches_fifo(partial, 2, seed);
+            assert_interleaving_matches_fifo(by_examples, 4, seed);
+            assert_interleaving_matches_fifo(dp, 3, seed);
         }
-    }
-
-    #[test]
-    fn evented_all_offline_round_keeps_global() {
-        let mut sim = make_sim(6, 1, SharingPolicy::Full);
-        let before = sim.global_agg().to_vec();
-        let stats = sim.step_evented(&mut Blackout, DeliveryPolicy::Lockstep);
-        assert_eq!(stats.participants, 0);
-        assert_eq!(stats.mean_loss, None);
-        assert_eq!(sim.global_agg(), before.as_slice());
-        assert_eq!(sim.round(), 1);
     }
 
     #[test]
@@ -1640,35 +1445,5 @@ mod tests {
         assert_eq!(events[0].1, after_first, "hook sees the post-aggregation global");
         assert_eq!(events[1].0, 1);
         assert_eq!(events[1].1, sim.global_agg());
-    }
-
-    #[test]
-    fn evented_round_spans_phases_and_counts_like_lockstep() {
-        let mut sim = make_sim(10, 2, SharingPolicy::Full);
-        let rec = cia_obs::Recorder::new();
-        rec.set_detail(true);
-        sim.set_recorder(rec.clone());
-        for _ in 0..2 {
-            sim.step_evented(&mut NullObserver, DeliveryPolicy::Lockstep);
-        }
-        assert_eq!(rec.counter(Counter::ClientsTrained), 20);
-        assert_eq!(rec.histogram(Metric::TrainMicros).count(), 20);
-        let chunk = rec.drain();
-        for phase in ["sample", "train", "attack", "aggregate", "evaluate"] {
-            assert_eq!(
-                chunk.spans.iter().filter(|s| s.name == phase).count(),
-                2,
-                "one {phase} span per round"
-            );
-        }
-        // The per-message trace: every train request and model update gets
-        // its own span slice nested under the round's train phase.
-        for msg in ["msg:train_request", "msg:model_update"] {
-            assert_eq!(
-                chunk.spans.iter().filter(|s| s.name == msg).count(),
-                20,
-                "one {msg} span per sampled client per round"
-            );
-        }
     }
 }

@@ -1,10 +1,10 @@
-//! Property tests for the evented FedAvg port: under any participation
-//! fraction, weighting, epoch count and seed, the event-driven round —
-//! including with a seeded interleaved delivery order — replays the fused
-//! lockstep round bit for bit, and a mid-run restore lands on the
-//! uninterrupted trajectory.
+//! Property tests for the event-driven FedAvg round: under any participation
+//! fraction, weighting, epoch count, seed and DP setting, a seeded
+//! interleaved delivery order replays the FIFO round bit for bit, and a
+//! mid-run restore lands on the uninterrupted trajectory.
 
 use cia_data::UserId;
+use cia_defenses::{DpConfig, DpMechanism};
 use cia_federated::{
     DeliveryPolicy, FedAvg, FedAvgConfig, LivenessEvent, RoundObserver, RoundStats, Weighting,
 };
@@ -15,7 +15,7 @@ use rand::Rng;
 
 /// Deterministic toy client: params drift towards a per-community fixed
 /// point with a small RNG perturbation, so any divergence in RNG stream
-/// order between the lockstep and evented paths shows up in the parameters.
+/// order between two delivery orders shows up in the parameters.
 struct TestClient {
     user: UserId,
     params: Vec<f32>,
@@ -64,6 +64,18 @@ fn sim(n: usize, cfg: FedAvgConfig) -> FedAvg<TestClient> {
     FedAvg::new((0..n as u32).map(TestClient::new).collect(), cfg)
 }
 
+/// [`sim`] with a DP-SGD transform on every outgoing update when `dp`.
+fn sim_with_dp(n: usize, cfg: FedAvgConfig, dp: bool) -> FedAvg<TestClient> {
+    let mut s = sim(n, cfg);
+    if dp {
+        s.set_update_transform(Box::new(DpMechanism::new(DpConfig {
+            clip: 0.5,
+            noise_multiplier: 0.3,
+        })));
+    }
+    s
+}
+
 /// Observer taping every event the FL adversary can see.
 #[derive(Default, Debug, PartialEq)]
 struct Tape {
@@ -108,32 +120,31 @@ fn config(
 
 proptest! {
     #[test]
-    fn evented_round_replays_lockstep_under_any_interleaving(
+    fn any_interleaving_seed_replays_the_fifo_round(
         n in 2usize..14,
         rounds in 1u64..5,
         participation in 0.2f64..1.0,
         epochs in 1usize..3,
         by_examples in any::<bool>(),
+        dp in any::<bool>(),
         seed in 0u64..(1 << 40),
         interleave in any::<u64>(),
     ) {
         let cfg = config(rounds, participation, epochs, by_examples, seed);
-        let mut lockstep = sim(n, cfg);
-        let mut lock_tape = Tape::default();
+        let mut fifo = sim_with_dp(n, cfg, dp);
+        let mut fifo_tape = Tape::default();
         for _ in 0..rounds {
-            lockstep.step(&mut lock_tape);
+            fifo.step_evented(&mut fifo_tape, DeliveryPolicy::Lockstep);
         }
-        for policy in [DeliveryPolicy::Lockstep, DeliveryPolicy::Interleaved { seed: interleave }] {
-            let mut evented = sim(n, cfg);
-            let mut ev_tape = Tape::default();
-            for _ in 0..rounds {
-                evented.step_evented(&mut ev_tape, policy);
-            }
-            prop_assert_eq!(&ev_tape, &lock_tape, "policy {:?} drifted", policy);
-            prop_assert_eq!(evented.global_agg(), lockstep.global_agg());
-            for (a, b) in evented.clients().iter().zip(lockstep.clients()) {
-                prop_assert_eq!(&a.params, &b.params);
-            }
+        let mut shuffled = sim_with_dp(n, cfg, dp);
+        let mut shuffled_tape = Tape::default();
+        for _ in 0..rounds {
+            shuffled.step_evented(&mut shuffled_tape, DeliveryPolicy::Interleaved { seed: interleave });
+        }
+        prop_assert_eq!(&shuffled_tape, &fifo_tape);
+        prop_assert_eq!(shuffled.global_agg(), fifo.global_agg());
+        for (a, b) in shuffled.clients().iter().zip(fifo.clients()) {
+            prop_assert_eq!(&a.params, &b.params);
         }
     }
 

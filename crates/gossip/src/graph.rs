@@ -93,7 +93,9 @@ impl ViewTable {
     /// Refreshes `u`'s view keeping the `keep` highest-scoring candidates
     /// (Pers-Gossip): `scored` holds `(peer, score)` candidates — typically
     /// the current view plus recently heard senders — and the remaining slots
-    /// are filled uniformly at random (the exploration share).
+    /// are filled uniformly at random (the exploration share). Scores come
+    /// from evaluating models received from peers, so a NaN score (a
+    /// destroyed model) ranks last instead of panicking.
     pub fn refresh_personalized(
         &mut self,
         u: u32,
@@ -102,9 +104,12 @@ impl ViewTable {
         rng: &mut StdRng,
     ) {
         let n = self.views.len();
-        // Highest score first; dedup peers keeping their best score.
+        // Highest score first, NaN sunk to the bottom (the order of
+        // `cia_core::metrics::rank_desc`); dedup peers keeping their best
+        // score.
+        let key = |score: f32| if score.is_nan() { f32::NEG_INFINITY } else { score };
         scored.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1).expect("finite scores").then_with(|| a.0.cmp(&b.0))
+            key(b.1).partial_cmp(&key(a.1)).expect("NaN mapped away").then_with(|| a.0.cmp(&b.0))
         });
         let mut kept: Vec<u32> = Vec::with_capacity(keep);
         for &(peer, _) in scored.iter() {
@@ -184,6 +189,19 @@ mod tests {
             uniq.dedup();
             assert_eq!(uniq.len(), 3);
         }
+    }
+
+    #[test]
+    fn personalized_refresh_sinks_nan_scores() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut t = ViewTable::new(10, 3, &mut rng);
+        let mut scored = vec![(1, f32::NAN), (2, 0.5), (3, f32::NAN), (4, 0.9), (5, -1.0)];
+        t.refresh_personalized(0, &mut scored, 3, &mut rng);
+        assert_eq!(t.view_of(0), &[4, 2, 5], "finite scores rank first, best first");
+        // An all-NaN candidate list still refreshes: ties break on peer id.
+        let mut scored = vec![(7, f32::NAN), (6, f32::NAN)];
+        t.refresh_personalized(0, &mut scored, 2, &mut rng);
+        assert_eq!(&t.view_of(0)[..2], &[6, 7]);
     }
 
     #[test]

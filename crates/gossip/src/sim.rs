@@ -2,7 +2,6 @@
 
 use crate::graph::{sample_exp_interval, ViewTable};
 use cia_data::UserId;
-use cia_models::parallel::par_zip_mut;
 use cia_models::{ClientStore, Participant, SharedModel, UpdateTransform};
 use cia_obs::{Counter, Metric, Recorder};
 use cia_runtime::{
@@ -146,11 +145,10 @@ pub struct GossipSimState {
     pub prev_sent: Vec<Option<Vec<f32>>>,
     /// Accumulated per-node traffic counters.
     pub traffic: TrafficCounters,
-    /// Undelivered scheduler events (the evented runtime's cross-round
-    /// in-flight messages and timers — view-refresh timers, chiefly). Empty
-    /// for lockstep runs and for checkpoints written before the evented
-    /// runtime existed; an empty queue re-derives refresh timers from
-    /// `refresh_at` on the next evented round.
+    /// Undelivered scheduler events carried across the round boundary
+    /// (view-refresh timers, chiefly). An empty queue re-derives the refresh
+    /// timers from `refresh_at` on the next round (see
+    /// [`GossipSim::step_evented`]).
     pub pending: Vec<SavedEvent>,
 }
 
@@ -174,25 +172,23 @@ impl TrafficCounters {
     }
 }
 
-/// Per-node bookkeeping owned by the node itself (in the evented runtime a
-/// peer's seat borrows exactly this struct, so nothing here may be touched by
-/// the coordinator mid-round).
+/// Per-node bookkeeping owned by the node itself (a peer's seat borrows
+/// exactly this struct, so nothing here may be touched by the coordinator
+/// mid-round).
 struct PeerCtl {
     inbox: Vec<SharedModel>,
     /// Reference shared vector for DP updates (last sent `[emb | agg]`).
     prev_sent: Option<Vec<f32>>,
     /// `(sender, score)` entries produced while mixing this round's inbox;
-    /// drained into the simulation-level `heard` table at the round barrier
-    /// (lockstep) or via [`Msg::TrainReport`] (evented).
+    /// shipped to the simulation-level `heard` table via
+    /// [`Msg::TrainReport`].
     heard_scratch: Vec<(u32, f32)>,
-    /// Local snapshot-carcass pool (evented rounds recycle consumed inbox
-    /// buffers per peer; the lockstep path uses the shared pool instead).
+    /// Local snapshot-carcass pool: consumed inbox buffers are recycled into
+    /// the peer's next outgoing snapshot.
     stash: Vec<SharedModel>,
     /// Local copy of the node's out-view (maintained by [`Msg::ViewPush`];
     /// the authoritative table stays with the coordinator's graph).
     view: Vec<u32>,
-    awake: bool,
-    loss: f32,
 }
 
 /// The gossip learning simulation.
@@ -207,7 +203,7 @@ pub struct GossipSim<P: Participant> {
     /// Pers-Gossip `(sender, score)` candidates heard since each node's last
     /// view refresh. Lives on the simulation (the refresh phase consumes it
     /// while peers own their [`PeerCtl`]s), filled from each peer's
-    /// `heard_scratch` at the round barrier.
+    /// [`Msg::TrainReport`] at the round end.
     heard: Vec<Vec<(u32, f32)>>,
     views: ViewTable,
     refresh_at: Vec<u64>,
@@ -215,20 +211,13 @@ pub struct GossipSim<P: Participant> {
     transform: Option<Box<dyn UpdateTransform>>,
     traffic: TrafficCounters,
     round: u64,
-    /// Undelivered scheduler events carried between evented rounds (see
-    /// [`GossipSimState::pending`]). Lockstep rounds clear it — a later
-    /// evented round re-derives its timers from `refresh_at`.
+    /// Undelivered scheduler events carried between rounds (see
+    /// [`GossipSimState::pending`]).
     pending: Vec<SavedEvent>,
-    /// Invoked when the evented round's scheduled [`Msg::GlobalBroadcast`]
+    /// Invoked when a round's scheduled [`Msg::GlobalBroadcast`]
     /// fires: `(round, nodes)`. The scenario runner installs per-user
     /// snapshot publication to `cia-serve` here.
     publish_hook: Option<GossipPublishHook<P>>,
-    /// Recycled model carcasses: aggregated inbox snapshots return here and
-    /// the next round's outgoing snapshots reuse their buffers, so a steady
-    /// round allocates no catalog-sized vectors.
-    pool: Vec<SharedModel>,
-    /// Reused per-round outgoing-slot table.
-    outgoing: Vec<Option<SharedModel>>,
     /// The observability sink: phase spans, wire/delivery counters and the
     /// per-node mix/train latency histograms.
     obs: Recorder,
@@ -267,13 +256,10 @@ impl<P: Participant> GossipSim<P> {
                 heard_scratch: Vec::new(),
                 stash: Vec::new(),
                 view: Vec::new(),
-                awake: false,
-                loss: 0.0,
             })
             .collect();
         let heard = vec![Vec::new(); nodes.len()];
         let traffic = TrafficCounters::zeroed(nodes.len());
-        let outgoing = (0..nodes.len()).map(|_| None).collect();
         GossipSim {
             store: ClientStore::dense(nodes),
             ctl,
@@ -286,15 +272,12 @@ impl<P: Participant> GossipSim<P> {
             round: 0,
             pending: Vec::new(),
             publish_hook: None,
-            pool: Vec::new(),
-            outgoing,
             obs: Recorder::new(),
         }
     }
 
     /// Installs the post-round publication hook (see the `publish_hook`
-    /// field). Only the evented path ([`GossipSim::step_evented`]) schedules
-    /// the [`Msg::GlobalBroadcast`] event that fires it.
+    /// field); every round's scheduled [`Msg::GlobalBroadcast`] fires it.
     pub fn set_publish_hook(&mut self, hook: GossipPublishHook<P>) {
         self.publish_hook = Some(hook);
     }
@@ -363,194 +346,10 @@ impl<P: Participant> GossipSim<P> {
         self.store.as_dense_mut().expect("gossip stores are dense")
     }
 
-    /// Runs one gossip round: refresh views, send, route, aggregate, train.
+    /// Runs one gossip round: refresh views, send, route, aggregate, train —
+    /// [`GossipSim::step_evented`] under FIFO delivery.
     pub fn step(&mut self, observer: &mut dyn GossipObserver) -> GossipRoundStats {
-        let t = self.round;
-        let obs = self.obs.clone();
-        let bytes0 = obs.counter(Counter::BytesOnWire);
-        let n = self.store.len();
-        // Lockstep rounds invalidate any carried-over scheduler events; a
-        // later evented round re-derives its refresh timers from
-        // `refresh_at`, which this path keeps authoritative.
-        self.pending.clear();
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed ^ t.wrapping_mul(0xA076_1D64_78BD_642F));
-        observer.on_round_start(t);
-
-        // 1. View refreshes due this round. Offline nodes (per the
-        // observer's availability query) defer theirs: `refresh_at` stays in
-        // the past and fires on the node's first available round.
-        let refresh_span = obs.span("refresh");
-        let keep = match self.cfg.protocol {
-            GossipProtocol::Rand => 0,
-            GossipProtocol::Pers { exploration } => {
-                ((1.0 - exploration) * self.cfg.out_degree as f64).ceil() as usize
-            }
-        };
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        for u in 0..n as u32 {
-            if self.refresh_at[u as usize] <= t && probe_available(observer, t, u) {
-                match self.cfg.protocol {
-                    GossipProtocol::Rand => self.views.refresh_random(u, &mut rng),
-                    GossipProtocol::Pers { .. } => {
-                        let mut scored = std::mem::take(&mut self.heard[u as usize]);
-                        self.views.refresh_personalized(u, &mut scored, keep, &mut rng);
-                    }
-                }
-                self.refresh_at[u as usize] =
-                    t + sample_exp_interval(self.cfg.view_refresh_rate, &mut rng);
-            }
-        }
-
-        // Traffic accounting: the in-degree of the graph the round's sends
-        // will be routed over (after refreshes, before sending).
-        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        for u in 0..n as u32 {
-            for &v in self.views.view_of(u) {
-                self.traffic.view_in_degree[v as usize] += 1;
-            }
-        }
-        drop(refresh_span);
-
-        // 2. Wake set (drawn first to keep the RNG stream stable, then
-        // filtered through the observer's availability hook).
-        let sample_span = obs.span("sample");
-        let mut wake: Vec<bool> = (0..n)
-            .map(|_| self.cfg.wake_fraction >= 1.0 || rng.gen::<f64>() < self.cfg.wake_fraction)
-            .collect();
-        observer.on_liveness(LivenessEvent::ActingSet { round: t, mask: &mut wake });
-        for (c, &w) in self.ctl.iter_mut().zip(&wake) {
-            c.awake = w;
-        }
-        drop(sample_span);
-
-        // 3. Send phase: snapshot (+ DP transform) in parallel. Outgoing
-        // slots are seeded with recycled carcasses from the pool so
-        // `snapshot_into` reuses their buffers.
-        let cfg = self.cfg;
-        let transform = self.transform.as_deref();
-        let awake: Vec<bool> = self.ctl.iter().map(|c| c.awake).collect();
-        let destinations: Vec<u32> =
-            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-            (0..n).map(|u| self.views.random_neighbor(u as u32, &mut rng)).collect();
-        let send_span = obs.span("send");
-        for (slot, &w) in self.outgoing.iter_mut().zip(&awake) {
-            if w && slot.is_none() {
-                *slot = self.pool.pop();
-            }
-        }
-        {
-            let nodes = self.store.as_dense().expect("gossip stores are dense");
-            let ctl = &mut self.ctl;
-            // Parallel over (ctl, outgoing) pairs; nodes are read-only here.
-            par_zip_mut(ctl, &mut self.outgoing, |i, c, slot| {
-                if !c.awake {
-                    *slot = None;
-                    return;
-                }
-                match slot {
-                    Some(snap) => nodes[i].snapshot_into(t, snap),
-                    None => *slot = Some(nodes[i].snapshot(t)),
-                }
-                let snap = slot.as_mut().expect("just filled");
-                if let Some(tr) = transform {
-                    let mut crng = StdRng::seed_from_u64(
-                        cfg.seed ^ (t << 22) ^ (i as u64).wrapping_mul(0x2545_F491_4F6C_DD1D),
-                    );
-                    apply_gossip_transform(tr, snap, &mut c.prev_sent, &mut crng);
-                }
-            });
-        }
-        drop(send_span);
-
-        // 4. Routing (serial: observer callbacks + inbox pushes). Each
-        // delivered snapshot is a fresh materialization of model state for
-        // this round — the pool only recycles allocations, not contents.
-        let route_span = obs.span("route");
-        let mut deliveries = 0usize;
-        for (u, slot) in self.outgoing.iter_mut().enumerate() {
-            if let Some(snap) = slot.take() {
-                let dest = destinations[u];
-                obs.add(Counter::BytesOnWire, 4 * snap.len() as u64);
-                obs.inc(Counter::InboxDeliveries);
-                observer.on_delivery(t, UserId::new(dest), &snap);
-                self.ctl[dest as usize].inbox.push(snap);
-                self.traffic.received[dest as usize] += 1;
-                deliveries += 1;
-            }
-        }
-        drop(route_span);
-
-        // 5. Neighbor mixing + local training on awake nodes, in one fused
-        // parallel pass under the `train` span. The in-place `mix_agg`
-        // replaces materializing the neighborhood mean. Mix and train stay
-        // fused deliberately: a node's aggregate is catalog-sized (~54 KB
-        // at paper scale), so training right after mixing reuses it while
-        // cache-hot — separate passes stream the whole population's state
-        // through memory twice (~13% slower on the paper-scale round). The
-        // per-node mix/train cost split is still observable through the
-        // `mix_us` / `train_us` histograms, which bracket the two halves
-        // with detail-gated clock reads.
-        let is_pers = matches!(self.cfg.protocol, GossipProtocol::Pers { .. });
-        let train_span = obs.span("train");
-        {
-            let nodes = self.store.as_dense_mut().expect("gossip stores are dense");
-            par_zip_mut(nodes, &mut self.ctl, |i, node, c| {
-                if !c.awake {
-                    return;
-                }
-                if !c.inbox.is_empty() {
-                    let t0 = obs.clock();
-                    if is_pers {
-                        for m in &c.inbox {
-                            c.heard_scratch.push((m.owner.raw(), node.evaluate_model(m)));
-                        }
-                    }
-                    let rows: Vec<&[f32]> = c.inbox.iter().map(|m| m.agg.as_slice()).collect();
-                    node.mix_agg(&rows);
-                    obs.observe_since(Metric::MixMicros, t0);
-                }
-                let t0 = obs.clock();
-                let mut crng = StdRng::seed_from_u64(
-                    cfg.seed ^ (t << 24) ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                );
-                let mut loss = 0.0;
-                for _ in 0..cfg.local_epochs.max(1) {
-                    loss = node.train_local(&mut crng);
-                }
-                c.loss = loss;
-                obs.observe_since(Metric::TrainMicros, t0);
-            });
-        }
-        drop(train_span);
-
-        // Consumed inboxes drain into the pool, and each node's mixing
-        // evidence lands in the simulation-level `heard` table, afterwards
-        // (serially — pool and table are shared). The barrier append keeps
-        // `heard` byte-identical to in-pass pushes: it only ever gets
-        // consumed at a *later* round's view refresh.
-        for (u, c) in self.ctl.iter_mut().enumerate() {
-            self.heard[u].append(&mut c.heard_scratch);
-            if c.awake {
-                self.pool.append(&mut c.inbox);
-            }
-        }
-        self.pool.truncate(n);
-
-        let awake_count = awake.iter().filter(|&&a| a).count();
-        obs.add(Counter::ClientsTrained, awake_count as u64);
-        let loss_sum: f32 = self.ctl.iter().filter(|c| c.awake).map(|c| c.loss).sum();
-        let stats = GossipRoundStats {
-            round: t,
-            awake: awake_count,
-            deliveries,
-            mean_loss: (awake_count > 0).then(|| loss_sum / awake_count as f32),
-            bytes_materialized: obs.counter(Counter::BytesOnWire) - bytes0,
-        };
-        let evaluate_span = obs.span("evaluate");
-        observer.on_round_end(&stats);
-        drop(evaluate_span);
-        self.round += 1;
-        stats
+        self.step_evented(observer, DeliveryPolicy::Lockstep)
     }
 
     /// Runs all configured rounds.
@@ -568,12 +367,11 @@ impl<P: Participant> GossipSim<P> {
     /// [`Msg::MixTrain`]/[`Msg::TrainReport`] for mixing and training —
     /// under the deterministic virtual-clock scheduler.
     ///
-    /// Compatibility contract: under *any* [`DeliveryPolicy`] this replays
-    /// [`GossipSim::step`]'s lockstep semantics bit for bit — same RNG
-    /// streams, same float operations, same observer callback order. Every
-    /// reorderable mailbox is sorted on a canonical key before any float is
-    /// touched (routing by ascending sender, inboxes by `(round, owner)`,
-    /// train reports by node), so interleaving seeds cannot change bytes.
+    /// Every [`DeliveryPolicy`] produces the same bytes: every reorderable
+    /// mailbox is sorted on a canonical key before any float is touched
+    /// (routing by ascending sender, inboxes by `(round, owner)`, train
+    /// reports by node), so interleaving seeds cannot change the RNG
+    /// streams, the float operations or the observer callback order.
     ///
     /// View-refresh timers are the events that legitimately cross rounds:
     /// leftover queue contents persist on the simulation (and inside
@@ -610,11 +408,11 @@ impl<P: Participant> GossipSim<P> {
             let mut sched = Scheduler::new(policy);
             sched.set_recorder(obs.clone());
             if pending.is_empty() {
-                // First evented round, or resumed without a saved queue:
-                // derive each node's refresh timer from its scheduled round.
-                // `max(refresh_at, t)` folds overdue (deferred) refreshes
-                // into the current round, exactly like the lockstep
-                // `refresh_at <= t` scan.
+                // Round 0 of a fresh simulation, or a resumed v5 checkpoint
+                // with an empty queue section (written by an older build's
+                // fused round loops): derive each node's refresh timer from
+                // its scheduled round. `max(refresh_at, t)` folds overdue (deferred)
+                // refreshes into the current round.
                 // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
                 for u in 0..n as u32 {
                     let at = refresh_at[u as usize].max(t) * SLOTS_PER_ROUND;
@@ -770,8 +568,8 @@ struct CoordRound<'a> {
     traffic: &'a mut TrafficCounters,
     cfg: GossipConfig,
     obs: Recorder,
-    /// Nodes whose refresh timers fired this round (processed sorted, which
-    /// reproduces the lockstep ascending scan).
+    /// Nodes whose refresh timers fired this round (processed in ascending
+    /// node order).
     due: Vec<u32>,
     /// This round's final wake mask.
     wake: Vec<bool>,
@@ -804,7 +602,7 @@ impl CoordRound<'_> {
         self.observer.on_round_start(t);
 
         // Refresh phase: the due set arrived as timer events; sorted, it is
-        // exactly the lockstep ascending `refresh_at[u] <= t` scan.
+        // the ascending scan of every node with `refresh_at[u] <= t`.
         let refresh_span = self.obs.span("refresh");
         let keep = match cfg.protocol {
             GossipProtocol::Rand => 0,
@@ -860,8 +658,8 @@ impl CoordRound<'_> {
         self.observer.on_liveness(LivenessEvent::ActingSet { round: t, mask: &mut wake });
         drop(sample_span);
 
-        // Destinations are drawn for every node — awake or not — exactly
-        // like the lockstep round (RNG stream parity).
+        // Destinations are drawn for every node — awake or not — so the
+        // round's RNG stream does not depend on the wake mask's contents.
         let destinations: Vec<u32> =
             // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
             (0..n).map(|u| self.views.random_neighbor(u as u32, &mut rng)).collect();
@@ -908,8 +706,8 @@ impl CoordRound<'_> {
     fn round_end(&mut self, t: u64, ctx: &mut Ctx<'_>) {
         let awake_count = self.wake.iter().filter(|&&w| w).count();
         debug_assert_eq!(self.reports.len(), awake_count, "one report per awake peer");
-        // Canonical report order: ascending node, which is the order the
-        // lockstep barrier reads losses and appends `heard` evidence in.
+        // Canonical report order: ascending node, whatever order the
+        // delivery policy handed the reports over in.
         self.reports.sort_unstable_by_key(|&(node, _, _)| node);
         let mut loss_sum = 0.0f32;
         for (node, loss, mut heard) in self.reports.drain(..) {
@@ -933,9 +731,9 @@ impl CoordRound<'_> {
 }
 
 impl<P: Participant> PeerSeat<'_, P> {
-    /// The lockstep send-phase body for one node: snapshot into a recycled
-    /// carcass (local stash) and apply the DP transform on its own RNG
-    /// stream, then push to the drawn destination via the network.
+    /// The send phase for one node: snapshot into a recycled carcass (local
+    /// stash) and apply the DP transform on its own RNG stream, then push to
+    /// the drawn destination via the network.
     fn wake_send(&mut self, t: u64, dest: u32, ctx: &mut Ctx<'_>) {
         let i = self.index;
         let mut snap = match self.ctl.stash.pop() {
@@ -959,14 +757,15 @@ impl<P: Participant> PeerSeat<'_, P> {
         );
     }
 
-    /// The lockstep fused mix+train body for one node, on the canonically
-    /// ordered inbox.
+    /// Fused mix+train for one node, on the canonically ordered inbox. Mix
+    /// and train stay fused deliberately: a node's aggregate is
+    /// catalog-sized, so training right after mixing reuses it while
+    /// cache-hot. The `mix_us` / `train_us` histograms still split the cost.
     fn mix_train(&mut self, t: u64, epochs: usize, ctx: &mut Ctx<'_>) {
         let i = self.index;
-        // Canonical inbox order — `(round, owner)` ascending — is exactly the
-        // lockstep accumulation order (one push per sender per round, routed
-        // in ascending sender order, rounds appended in order), independent
-        // of how the delivery policy interleaved this round's arrivals.
+        // Canonical inbox order — `(round, owner)` ascending (one push per
+        // sender per round) — independent of how the delivery policy
+        // interleaved this round's arrivals.
         self.ctl.inbox.sort_unstable_by_key(|m| (m.round, m.owner.raw()));
         if !self.ctl.inbox.is_empty() {
             let t0 = self.obs.clock();
@@ -987,10 +786,8 @@ impl<P: Participant> PeerSeat<'_, P> {
         for _ in 0..epochs.max(1) {
             loss = self.node.train_local(&mut crng);
         }
-        self.ctl.loss = loss;
         self.obs.observe_since(Metric::TrainMicros, t0);
-        // Consumed inbox buffers recycle into the local carcass stash (the
-        // shared pool stays a lockstep-only optimization).
+        // Consumed inbox buffers recycle into the local carcass stash.
         self.ctl.stash.append(&mut self.ctl.inbox);
         self.ctl.stash.truncate(2);
         ctx.send_at(
@@ -1409,6 +1206,9 @@ mod tests {
                 "one {phase} span per round"
             );
         }
+        // Per-message trace slices exist for the protocol messages.
+        let wake_sends = chunk.spans.iter().filter(|s| s.name == "msg:wake_send").count();
+        assert_eq!(wake_sends, (rounds * 20) as usize);
     }
 
     #[test]
@@ -1438,42 +1238,10 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
-    #[test]
-    fn restore_replays_identically() {
-        let cfg = GossipConfig { rounds: 8, wake_fraction: 0.7, seed: 21, ..Default::default() };
-        let mut straight = sim(14, cfg);
-        straight.run(&mut NullGossipObserver);
-
-        let mut first = sim(14, cfg);
-        for _ in 0..3 {
-            first.step(&mut NullGossipObserver);
-        }
-        let proto = first.export_state();
-        let params: Vec<Vec<f32>> = first.nodes().iter().map(Participant::state_vec).collect();
-
-        let mut resumed = sim(14, cfg);
-        resumed.restore_state(proto);
-        for (node, p) in resumed.nodes_mut().iter_mut().zip(&params) {
-            node.restore_state(p);
-        }
-        for _ in 3..8 {
-            resumed.step(&mut NullGossipObserver);
-        }
-        for (a, b) in straight.nodes().iter().zip(resumed.nodes()) {
-            assert_eq!(a.params, b.params);
-        }
-        assert_eq!(straight.round(), resumed.round());
-    }
-
-    /// Runs lockstep and evented from identical state under `observer`s
-    /// built by `make_obs`, comparing every observable byte: deliveries,
-    /// stats, views, node parameters.
-    fn assert_evented_matches_lockstep(
-        cfg: GossipConfig,
-        n: usize,
-        dp: bool,
-        policy: DeliveryPolicy,
-    ) {
+    /// Runs FIFO and seeded-interleaved delivery from identical state,
+    /// comparing every observable byte: deliveries, stats, traffic, views,
+    /// node parameters.
+    fn assert_interleaving_matches_fifo(cfg: GossipConfig, n: usize, dp: bool, seed: u64) {
         let build = || {
             let mut s = sim(n, cfg);
             if dp {
@@ -1485,55 +1253,37 @@ mod tests {
             }
             s
         };
-        let mut lockstep = build();
-        let mut lock_tape = Recorder::default();
+        let mut fifo = build();
+        let mut fifo_tape = Recorder::default();
         for _ in 0..cfg.rounds {
-            lockstep.step(&mut lock_tape);
+            fifo.step_evented(&mut fifo_tape, DeliveryPolicy::Lockstep);
         }
 
-        let mut evented = build();
-        let mut ev_tape = Recorder::default();
+        let mut shuffled = build();
+        let mut shuffled_tape = Recorder::default();
         for _ in 0..cfg.rounds {
-            evented.step_evented(&mut ev_tape, policy);
+            shuffled.step_evented(&mut shuffled_tape, DeliveryPolicy::Interleaved { seed });
         }
 
-        assert_eq!(lock_tape.deliveries, ev_tape.deliveries);
-        assert_eq!(lock_tape.stats, ev_tape.stats);
-        assert_eq!(lockstep.traffic(), evented.traffic());
+        assert_eq!(fifo_tape.deliveries, shuffled_tape.deliveries);
+        assert_eq!(fifo_tape.stats, shuffled_tape.stats);
+        assert_eq!(fifo.traffic(), shuffled.traffic());
         // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
         for u in 0..n as u32 {
-            assert_eq!(lockstep.view_of(u), evented.view_of(u), "view of {u}");
+            assert_eq!(fifo.view_of(u), shuffled.view_of(u), "view of {u}");
         }
-        for (a, b) in lockstep.nodes().iter().zip(evented.nodes()) {
+        for (a, b) in fifo.nodes().iter().zip(shuffled.nodes()) {
             assert_eq!(a.params, b.params);
         }
-    }
-
-    #[test]
-    fn evented_round_replays_lockstep_bit_for_bit() {
-        let cfg = GossipConfig { rounds: 6, seed: 11, ..Default::default() };
-        assert_evented_matches_lockstep(cfg, 14, false, DeliveryPolicy::Lockstep);
-    }
-
-    #[test]
-    fn evented_matches_lockstep_under_pers_partial_wake_and_dp() {
-        let cfg = GossipConfig {
-            rounds: 8,
-            wake_fraction: 0.6,
-            protocol: GossipProtocol::Pers { exploration: 0.4 },
-            view_refresh_rate: 0.5,
-            seed: 17,
-            ..Default::default()
-        };
-        assert_evented_matches_lockstep(cfg, 16, true, DeliveryPolicy::Lockstep);
     }
 
     #[test]
     fn interleaving_seeds_cannot_change_gossip_bytes() {
         // Every reorderable mailbox is sorted on a canonical key before any
         // float is touched, so a permuted delivery order must still replay
-        // the lockstep transcript exactly.
-        let cfg = GossipConfig {
+        // the FIFO transcript exactly — with and without Pers-Gossip,
+        // partial wake-up and DP.
+        let pers = GossipConfig {
             rounds: 5,
             wake_fraction: 0.7,
             protocol: GossipProtocol::Pers { exploration: 0.4 },
@@ -1541,34 +1291,27 @@ mod tests {
             seed: 23,
             ..Default::default()
         };
+        let pers_partial_wake_dp = GossipConfig {
+            rounds: 8,
+            wake_fraction: 0.6,
+            protocol: GossipProtocol::Pers { exploration: 0.4 },
+            view_refresh_rate: 0.5,
+            seed: 17,
+            ..Default::default()
+        };
         for seed in [0u64, 9, 0xFEED_C0DE] {
-            assert_evented_matches_lockstep(cfg, 12, false, DeliveryPolicy::Interleaved { seed });
+            assert_interleaving_matches_fifo(pers, 12, false, seed);
+            assert_interleaving_matches_fifo(pers_partial_wake_dp, 16, true, seed);
         }
-    }
-
-    #[test]
-    fn evented_defers_refreshes_for_unavailable_nodes() {
-        // The Probe liveness event must defer node 5's refreshes under the
-        // evented runtime exactly like the lockstep availability query.
-        let cfg =
-            GossipConfig { rounds: 12, view_refresh_rate: 1.0, seed: 9, ..Default::default() };
-        let mut s = sim(16, cfg);
-        let initial: Vec<Vec<u32>> = (0..16).map(|u| s.view_of(u).to_vec()).collect();
-        for _ in 0..12 {
-            s.step_evented(&mut FiveOffline, DeliveryPolicy::Lockstep);
-        }
-        assert_eq!(s.view_of(5), initial[5].as_slice(), "offline node refreshed its view");
-        let changed = (0..16u32)
-            .filter(|&u| u != 5 && s.view_of(u) != initial[u as usize].as_slice())
-            .count();
-        assert!(changed > 10, "only {changed} available nodes refreshed");
     }
 
     #[test]
     fn evented_resume_restores_the_pending_event_queue() {
-        // Kill/resume across a half-drained queue: after 3 evented rounds
-        // the queue holds future refresh timers; a restore must carry them
-        // (and produce the exact same continuation as an uninterrupted run).
+        // Kill/resume across a half-drained queue: after 3 rounds the queue
+        // holds future refresh timers; a restore must carry them (and
+        // produce the exact same continuation as an uninterrupted run). A
+        // checkpoint with an empty queue section must land on the same
+        // continuation too: the timers are re-derived from `refresh_at`.
         let cfg = GossipConfig {
             rounds: 8,
             wake_fraction: 0.7,
@@ -1577,60 +1320,34 @@ mod tests {
             ..Default::default()
         };
         let mut straight = sim(14, cfg);
-        for _ in 0..8 {
-            straight.step_evented(&mut NullGossipObserver, DeliveryPolicy::Lockstep);
-        }
+        straight.run(&mut NullGossipObserver);
 
         let mut first = sim(14, cfg);
         for _ in 0..3 {
-            first.step_evented(&mut NullGossipObserver, DeliveryPolicy::Lockstep);
+            first.step(&mut NullGossipObserver);
         }
         let proto = first.export_state();
         assert!(!proto.pending.is_empty(), "refresh timers should be in flight");
         let params: Vec<Vec<f32>> = first.nodes().iter().map(Participant::state_vec).collect();
 
-        let mut resumed = sim(14, cfg);
-        resumed.restore_state(proto);
-        for (node, p) in resumed.nodes_mut().iter_mut().zip(&params) {
-            node.restore_state(p);
-        }
-        for _ in 3..8 {
-            resumed.step_evented(&mut NullGossipObserver, DeliveryPolicy::Lockstep);
-        }
-        for (a, b) in straight.nodes().iter().zip(resumed.nodes()) {
-            assert_eq!(a.params, b.params);
-        }
-        assert_eq!(straight.round(), resumed.round());
-    }
-
-    #[test]
-    fn lockstep_checkpoint_resumes_onto_the_evented_runtime() {
-        // Cross-mode resume: a checkpoint written by a lockstep run has an
-        // empty pending queue; the evented runtime re-derives refresh timers
-        // from `refresh_at` and must continue bit-identically.
-        let cfg =
-            GossipConfig { rounds: 8, view_refresh_rate: 0.5, seed: 31, ..Default::default() };
-        let mut straight = sim(12, cfg);
-        straight.run(&mut NullGossipObserver);
-
-        let mut first = sim(12, cfg);
-        for _ in 0..4 {
-            first.step(&mut NullGossipObserver);
-        }
-        let proto = first.export_state();
-        assert!(proto.pending.is_empty(), "lockstep rounds leave no queue");
-        let params: Vec<Vec<f32>> = first.nodes().iter().map(Participant::state_vec).collect();
-
-        let mut resumed = sim(12, cfg);
-        resumed.restore_state(proto);
-        for (node, p) in resumed.nodes_mut().iter_mut().zip(&params) {
-            node.restore_state(p);
-        }
-        for _ in 4..8 {
-            resumed.step_evented(&mut NullGossipObserver, DeliveryPolicy::Lockstep);
-        }
-        for (a, b) in straight.nodes().iter().zip(resumed.nodes()) {
-            assert_eq!(a.params, b.params);
+        let mut empty_queue = proto.clone();
+        empty_queue.pending.clear();
+        for state in [proto, empty_queue] {
+            let mut resumed = sim(14, cfg);
+            resumed.restore_state(state);
+            for (node, p) in resumed.nodes_mut().iter_mut().zip(&params) {
+                node.restore_state(p);
+            }
+            for _ in 3..8 {
+                resumed.step(&mut NullGossipObserver);
+            }
+            for (a, b) in straight.nodes().iter().zip(resumed.nodes()) {
+                assert_eq!(a.params, b.params);
+            }
+            for u in 0..14u32 {
+                assert_eq!(straight.view_of(u), resumed.view_of(u), "view of {u}");
+            }
+            assert_eq!(straight.round(), resumed.round());
         }
     }
 
@@ -1640,45 +1357,14 @@ mod tests {
         use std::rc::Rc;
         let published: Rc<RefCell<Vec<u64>>> = Rc::default();
         let sink = Rc::clone(&published);
-        let mut s = sim(10, GossipConfig { rounds: 2, seed: 4, ..Default::default() });
+        let mut s = sim(10, GossipConfig { rounds: 3, seed: 4, ..Default::default() });
         s.set_publish_hook(Box::new(move |t, nodes| {
             assert_eq!(nodes.len(), 10);
             sink.borrow_mut().push(t);
         }));
         s.step_evented(&mut NullGossipObserver, DeliveryPolicy::Lockstep);
-        s.step_evented(&mut NullGossipObserver, DeliveryPolicy::Lockstep);
-        // Lockstep rounds do not schedule the broadcast event.
+        s.step_evented(&mut NullGossipObserver, DeliveryPolicy::Interleaved { seed: 5 });
         s.step(&mut NullGossipObserver);
-        assert_eq!(*published.borrow(), vec![0, 1]);
-    }
-
-    #[test]
-    fn evented_round_spans_phases_and_counts_like_lockstep() {
-        let rounds = 5u64;
-        let mut s = sim(20, GossipConfig { rounds, seed: 3, ..Default::default() });
-        let rec = cia_obs::Recorder::new();
-        rec.set_detail(true);
-        s.set_recorder(rec.clone());
-        let mut tape = Recorder::default();
-        for _ in 0..rounds {
-            s.step_evented(&mut tape, DeliveryPolicy::Lockstep);
-        }
-        assert_eq!(rec.counter(Counter::InboxDeliveries) as usize, tape.deliveries.len());
-        assert_eq!(rec.counter(Counter::ClientsTrained), rounds * 20);
-        assert_eq!(rec.counter(Counter::BytesOnWire), 32 * rec.counter(Counter::InboxDeliveries));
-        let stat_bytes: u64 = tape.stats.iter().map(|s| s.bytes_materialized).sum();
-        assert_eq!(stat_bytes, rec.counter(Counter::BytesOnWire));
-        assert_eq!(rec.histogram(Metric::TrainMicros).count(), rounds * 20);
-        let chunk = rec.drain();
-        for phase in ["refresh", "sample", "send", "route", "train", "evaluate"] {
-            assert_eq!(
-                chunk.spans.iter().filter(|s| s.name == phase).count(),
-                rounds as usize,
-                "one {phase} span per round"
-            );
-        }
-        // Per-message trace slices exist for the protocol messages.
-        let wake_sends = chunk.spans.iter().filter(|s| s.name == "msg:wake_send").count();
-        assert_eq!(wake_sends, (rounds * 20) as usize);
+        assert_eq!(*published.borrow(), vec![0, 1, 2]);
     }
 }

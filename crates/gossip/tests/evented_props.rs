@@ -1,9 +1,10 @@
-//! Property tests for the evented gossip port — the two guarantees the
-//! scheduler redesign rests on:
+//! Property tests for the event-driven gossip round — the two guarantees the
+//! scheduler design rests on:
 //!
 //! 1. *Interleaving invariance*: any seed for
-//!    [`DeliveryPolicy::Interleaved`] reproduces the lockstep transcript
-//!    byte for byte (every reorderable mailbox is sorted on a canonical key
+//!    [`DeliveryPolicy::Interleaved`] reproduces the FIFO
+//!    ([`DeliveryPolicy::Lockstep`]) transcript byte for byte, with or
+//!    without DP (every reorderable mailbox is sorted on a canonical key
 //!    before a float is touched).
 //! 2. *Kill/resume across a live queue*: exporting state at an arbitrary
 //!    round cut — where per-node refresh timers are always still in flight —
@@ -11,6 +12,7 @@
 //!    exactly.
 
 use cia_data::UserId;
+use cia_defenses::{DpConfig, DpMechanism};
 use cia_gossip::{
     Checkpointable, DeliveryPolicy, GossipConfig, GossipObserver, GossipProtocol, GossipRoundStats,
     GossipSim,
@@ -22,8 +24,8 @@ use rand::Rng;
 
 /// A deterministic toy participant: params drift towards a per-community
 /// fixed point during "training" with a small RNG perturbation, so any
-/// divergence in RNG stream order between the lockstep and evented paths
-/// shows up in the parameters.
+/// divergence in RNG stream order between two delivery orders shows up in
+/// the parameters.
 struct TestNode {
     user: UserId,
     params: Vec<f32>,
@@ -77,6 +79,18 @@ fn sim(n: usize, cfg: GossipConfig) -> GossipSim<TestNode> {
     GossipSim::new(nodes, cfg)
 }
 
+/// [`sim`] with a DP-SGD transform on every outgoing model when `dp`.
+fn sim_with_dp(n: usize, cfg: GossipConfig, dp: bool) -> GossipSim<TestNode> {
+    let mut s = sim(n, cfg);
+    if dp {
+        s.set_update_transform(Box::new(DpMechanism::new(DpConfig {
+            clip: 0.5,
+            noise_multiplier: 0.3,
+        })));
+    }
+    s
+}
+
 /// Observer taping every observable event.
 #[derive(Default, Debug, PartialEq)]
 struct Tape {
@@ -121,28 +135,29 @@ fn config(rounds: u64, wake: f64, refresh: f64, pers: bool, seed: u64) -> Gossip
 
 proptest! {
     #[test]
-    fn any_interleaving_seed_replays_the_lockstep_transcript(
+    fn any_interleaving_seed_replays_the_fifo_transcript(
         n in 6usize..16,
         rounds in 2u64..6,
         wake in 0.3f64..1.0,
         refresh in 0.1f64..1.0,
         pers in any::<bool>(),
+        dp in any::<bool>(),
         seed in 0u64..(1 << 40),
         interleave in any::<u64>(),
     ) {
         let cfg = config(rounds, wake, refresh, pers, seed);
-        let mut lockstep = sim(n, cfg);
-        let mut lock_tape = Tape::default();
+        let mut fifo = sim_with_dp(n, cfg, dp);
+        let mut fifo_tape = Tape::default();
         for _ in 0..rounds {
-            lockstep.step(&mut lock_tape);
+            fifo.step_evented(&mut fifo_tape, DeliveryPolicy::Lockstep);
         }
-        let mut evented = sim(n, cfg);
-        let mut ev_tape = Tape::default();
+        let mut shuffled = sim_with_dp(n, cfg, dp);
+        let mut shuffled_tape = Tape::default();
         for _ in 0..rounds {
-            evented.step_evented(&mut ev_tape, DeliveryPolicy::Interleaved { seed: interleave });
+            shuffled.step_evented(&mut shuffled_tape, DeliveryPolicy::Interleaved { seed: interleave });
         }
-        prop_assert_eq!(&ev_tape, &lock_tape);
-        prop_assert_eq!(observables(&evented), observables(&lockstep));
+        prop_assert_eq!(&shuffled_tape, &fifo_tape);
+        prop_assert_eq!(observables(&shuffled), observables(&fifo));
     }
 
     #[test]

@@ -1,25 +1,24 @@
 //! Event-driven node runtime: typed protocol messages under a deterministic
 //! virtual-clock scheduler.
 //!
-//! The lockstep round loops in `cia-federated` and `cia-gossip` (train →
-//! aggregate/mix → evaluate, one barrier per phase) are re-expressed here as
-//! *nodes* consuming typed protocol messages plus injected timer events — the
-//! Maelstrom-style shape — with the deterministic simulator demoted to one
-//! [`Scheduler`] over that API: a virtual clock, two delivery lanes
+//! The dense rounds of `cia-federated` and `cia-gossip` (train →
+//! aggregate/mix → evaluate) run as *nodes* consuming typed protocol
+//! messages plus injected timer events — the Maelstrom-style shape — under
+//! one deterministic [`Scheduler`]: a virtual clock, two delivery lanes
 //! (messages, then timers) and a seeded delivery order.
 //!
 //! Two delivery policies exist:
 //!
 //! * [`DeliveryPolicy::Lockstep`] delivers same-time messages in FIFO
-//!   (enqueue) order. The protocol ports in `cia-federated` /`cia-gossip`
-//!   replay today's lockstep semantics *exactly* under this policy — golden
-//!   JSONL transcripts are byte-identical.
+//!   (enqueue) order — the default, and the order the golden JSONL
+//!   transcripts pin.
 //! * [`DeliveryPolicy::Interleaved`] shuffles same-time message-lane
-//!   deliveries with a seeded hash (timers keep FIFO order). The protocol
-//!   ports are written to be *insensitive* to this reordering (mailboxes are
+//!   deliveries with a seeded hash (timers keep FIFO order). The protocols
+//!   are written to be *insensitive* to this reordering (mailboxes are
 //!   sorted on canonical keys before any float is touched), so every
-//!   interleaving seed still reproduces the lockstep transcript byte for
-//!   byte — the property `cia-scenarios` pins with proptest.
+//!   interleaving seed still reproduces the FIFO transcript byte for byte —
+//!   the property the protocol crates and `cia-scenarios` pin with
+//!   proptest.
 //!
 //! The crate also hosts the two cross-protocol abstractions the runtime
 //! unified: [`LivenessEvent`] (the single observer event enum replacing the
@@ -55,10 +54,9 @@ pub enum Msg {
     /// Server → client: train this round on the broadcast global model.
     /// Aggregation rides along: `acc` threads the shared sparse-update
     /// accumulator through the participant chain (each client folds
-    /// `weight · (own − global)` into it while its parameters are cache-hot,
-    /// exactly like the lockstep fused path), and `snap` carries a recycled
-    /// snapshot carcass when the round materializes client models for the
-    /// observer or a DP transform.
+    /// `weight · (own − global)` into it while its parameters are cache-hot),
+    /// and `snap` carries a recycled snapshot carcass when the round
+    /// materializes client models for the observer or a DP transform.
     TrainRequest {
         /// Round index.
         round: u64,
@@ -200,8 +198,8 @@ impl Msg {
 /// How same-virtual-time deliveries are ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeliveryPolicy {
-    /// FIFO enqueue order within each (time, lane) — replays lockstep
-    /// semantics exactly.
+    /// FIFO enqueue order within each (time, lane) — the default, and the
+    /// order the golden transcripts pin.
     #[default]
     Lockstep,
     /// Same-time *message*-lane deliveries are permuted by a seeded hash;
@@ -440,7 +438,8 @@ impl Ctx<'_> {
     }
 
     /// Sends `msg` to `dst`, delivered at the current virtual time (after
-    /// every already-queued same-time message under the lockstep policy).
+    /// every already-queued same-time message under
+    /// [`DeliveryPolicy::Lockstep`]).
     pub fn send(&mut self, dst: NodeId, msg: Msg) {
         self.push(self.now, Lane::Message, dst, msg);
     }

@@ -79,18 +79,11 @@ pub struct RunOptions {
     /// only *reads* quiesced round state — no RNG draws, no sink writes —
     /// so attaching a hub leaves the JSONL transcript byte-identical.
     pub publish: Option<Arc<SnapshotHub>>,
-    /// Run rounds on the legacy fused lockstep loops instead of the
-    /// event-driven scheduler. The default (evented, `DeliveryPolicy::
-    /// Lockstep`) replays lockstep semantics exactly — transcripts are
-    /// byte-identical either way; this switch exists as the compatibility
-    /// escape hatch and for A/B timing.
-    pub lockstep: bool,
     /// Permute same-virtual-time message deliveries with this seed
-    /// (`DeliveryPolicy::Interleaved`). The protocol ports sort every
-    /// reorderable mailbox on a canonical key before touching a float, so
-    /// *any* seed reproduces the lockstep transcript byte for byte — the
-    /// property the suite pins with proptest. `None` (the default) delivers
-    /// FIFO. Ignored under `lockstep`.
+    /// (`DeliveryPolicy::Interleaved`). The protocols sort every reorderable
+    /// mailbox on a canonical key before touching a float, so *any* seed
+    /// reproduces the FIFO transcript byte for byte — the property the
+    /// suite pins with proptest. `None` (the default) delivers FIFO.
     pub delivery_seed: Option<u64>,
 }
 
@@ -201,13 +194,6 @@ pub fn run_scenario(
     // cia-lint: allow(D02, feeds only the timing-gated elapsed_ms fields and the printed summary; --no-timing never reads it)
     let start = Instant::now();
     let ctx = Ctx { spec, suite, opts, start };
-    if opts.resume {
-        if let Some(dir) = &opts.checkpoint_dir {
-            // Accept checkpoints and completion markers written under the
-            // legacy truncated-hash file names.
-            Checkpoint::migrate_legacy_names(dir, &spec.name);
-        }
-    }
     // A suite killed in scenario N leaves scenarios 1..N completed with
     // their records already in the stream; the completion marker stops a
     // resume from re-running them and appending duplicates.
@@ -273,7 +259,7 @@ impl Ctx<'_> {
 
     /// Whether a checkpoint should be written after `done` rounds. Rounds
     /// that emitted records always checkpoint, keeping the stream's record
-    /// count in lockstep with the checkpoint's `emitted` counter — a kill
+    /// count in step with the checkpoint's `emitted` counter — a kill
     /// can then duplicate at most the current round's records on resume.
     fn checkpoint_due(&self, done: u64, stopping: bool, emitted_now: bool) -> bool {
         self.opts.checkpoint_dir.is_some()
@@ -519,10 +505,10 @@ where
     sim.set_recorder(rec.clone());
     attack.set_recorder(rec.clone());
     let mut traces: Vec<(u64, TraceChunk)> = Vec::new();
-    if let (Some(hub), false) = (&ctx.opts.publish, ctx.opts.lockstep) {
-        // Evented rounds publish from inside the scheduler: the hook runs in
-        // the post-broadcast quiesced window, replacing the runner's inline
-        // round-boundary publication below.
+    if let Some(hub) = &ctx.opts.publish {
+        // Rounds publish from inside the scheduler: the hook runs in the
+        // post-broadcast quiesced window, so readers never observe a
+        // mid-round mixture.
         let hub = Arc::clone(hub);
         let dim = setup.params.dim;
         let publish_rec = rec.clone();
@@ -563,27 +549,8 @@ where
         let round_span = rec.span("round");
         let stats = {
             let mut obs = FlDynamics { inner: &mut attack, dynamics: &mut dynamics };
-            if ctx.opts.lockstep {
-                sim.step(&mut obs)
-            } else {
-                sim.step_evented(&mut obs, ctx.opts.delivery_policy())
-            }
+            sim.step_evented(&mut obs, ctx.opts.delivery_policy())
         };
-        if ctx.opts.lockstep {
-            if let Some(hub) = &ctx.opts.publish {
-                // Round boundary: the global model is quiesced, so this is
-                // the one point a serving snapshot can be cut without readers
-                // ever observing a mid-round mixture. (Evented rounds publish
-                // through the post-broadcast hook installed above instead.)
-                let publish_span = rec.span("publish");
-                hub.publish(Snapshot::shared(
-                    setup.params.dim,
-                    sim.clients().iter().map(Participant::owner_emb),
-                    sim.global_agg(),
-                ));
-                drop(publish_span);
-            }
-        }
         let emitted_before = emitted;
         let emit_span = rec.span("emit");
         while emitted < attack.history().len() {
@@ -784,10 +751,10 @@ where
     let rec = Recorder::new();
     rec.set_detail(true);
     sim.set_recorder(rec.clone());
-    if let (Some(hub), false) = (&ctx.opts.publish, ctx.opts.lockstep) {
+    if let Some(hub) = &ctx.opts.publish {
         // Gossip has no global model: each node serves from its own local
-        // mixture, so the snapshot carries per-user agg rows. Under the
-        // evented runtime the coordinator publishes at the RoundEnd slot.
+        // mixture, so the snapshot carries per-user agg rows. The
+        // coordinator publishes at the RoundEnd slot.
         let hub = Arc::clone(hub);
         let dim = setup.params.dim;
         let publish_rec = rec.clone();
@@ -879,26 +846,8 @@ where
         let stats = {
             let mut obs = PlacementObserver { inner: &mut attack, engine: &mut placement };
             let mut obs = GlDynamics { inner: &mut obs, dynamics: &mut dynamics };
-            if ctx.opts.lockstep {
-                sim.step(&mut obs)
-            } else {
-                sim.step_evented(&mut obs, ctx.opts.delivery_policy())
-            }
+            sim.step_evented(&mut obs, ctx.opts.delivery_policy())
         };
-        if ctx.opts.lockstep {
-            if let Some(hub) = &ctx.opts.publish {
-                // Gossip has no global model: each node serves from its own
-                // local mixture, so the snapshot carries per-user agg rows.
-                let publish_span = rec.span("publish");
-                let agg_len = sim.nodes().first().map_or(0, |c| c.agg().len());
-                hub.publish(Snapshot::per_user(
-                    setup.params.dim,
-                    agg_len,
-                    sim.nodes().iter().map(|c| (c.owner_emb(), c.agg())),
-                ));
-                drop(publish_span);
-            }
-        }
         let emitted_before = emitted;
         let emit_span = rec.span("emit");
         while emitted < attack.history().len() {

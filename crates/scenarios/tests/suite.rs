@@ -207,21 +207,6 @@ fn adaptive_run_killed_after_the_relocation_resumes_exactly() {
 }
 
 #[test]
-fn evented_and_lockstep_streams_are_byte_identical() {
-    // The event-driven runtime is the default; the legacy fused loops stay
-    // behind `lockstep: true`. Both must produce the same JSONL stream for
-    // the full builtin suite (FL + gossip + coalition scenarios) — the
-    // compatibility guarantee the whole port rests on.
-    let (_, evented) = run_builtin(42);
-    let suite = builtin_suite(Scale::Smoke, 42);
-    let mut lockstep = Vec::new();
-    let opts = RunOptions { lockstep: true, ..RunOptions::default() };
-    let outcomes = run_suite(&suite, &opts, &mut lockstep).unwrap();
-    assert!(outcomes.iter().all(|o| o.completed));
-    assert_eq!(evented, lockstep, "evented and lockstep streams diverged");
-}
-
-#[test]
 fn interleaved_delivery_seeds_reproduce_the_transcript() {
     // Permuting same-virtual-time deliveries must be unobservable: every
     // reorderable mailbox in the protocol ports is sorted on a canonical key
@@ -326,10 +311,10 @@ fn kill_and_resume_under_parallel_execution_matches_serial() {
 }
 
 #[test]
-fn legacy_truncated_hash_checkpoints_migrate_on_resume() {
-    // Checkpoint files used to truncate the name hash to 32 bits; a resume
-    // must accept (rename) files written under the old naming instead of
-    // silently starting from scratch.
+fn legacy_named_v3_checkpoint_is_ignored_on_resume() {
+    // Checkpoint files once truncated the name hash to 32 bits. That naming
+    // predates codec v5, so such a file can only hold a version the decoder
+    // refuses: a resume must ignore it and start fresh, not fail.
     let suite = builtin_suite(Scale::Smoke, 42);
     let spec = suite.expanded().unwrap()[1].clone();
 
@@ -337,42 +322,28 @@ fn legacy_truncated_hash_checkpoints_migrate_on_resume() {
     let straight = run_scenario(&spec, "t", &RunOptions::default(), &mut straight_out).unwrap();
 
     let dir = TempDir::new("legacy-names");
-    let ckpt = RunOptions {
-        checkpoint_dir: Some(dir.0.clone()),
-        checkpoint_every: 2,
-        ..RunOptions::default()
-    };
-    let mut partial_out = Vec::new();
-    run_scenario(
-        &spec,
-        "t",
-        &RunOptions { stop_after_rounds: Some(4), ..ckpt.clone() },
-        &mut partial_out,
-    )
-    .unwrap();
-
-    // Rewrite the produced checkpoint to the legacy name: the stem ends in
-    // the 16-hex-digit hash; the old format kept only the low 32 bits (the
-    // trailing 8 digits).
-    let entries: Vec<std::path::PathBuf> =
-        std::fs::read_dir(&dir.0).unwrap().map(|e| e.unwrap().path()).collect();
-    assert_eq!(entries.len(), 1);
-    let current = &entries[0];
+    let current = cia_scenarios::checkpoint::Checkpoint::path_for(&dir.0, &spec.name);
     let stem = current.file_stem().unwrap().to_string_lossy().into_owned();
     let (prefix, hash16) = stem.rsplit_once('-').unwrap();
     assert_eq!(hash16.len(), 16, "checkpoint names carry the full 64-bit hash");
     let legacy = dir.0.join(format!("{prefix}-{}.ckpt", &hash16[8..]));
-    std::fs::rename(current, &legacy).unwrap();
+    // A v3 header: the "CIAS" magic, then version 3, little-endian.
+    let mut header = 0x4349_4153u32.to_le_bytes().to_vec();
+    header.extend_from_slice(&3u32.to_le_bytes());
+    header.extend_from_slice(&spec.fingerprint().to_le_bytes());
+    std::fs::write(&legacy, &header).unwrap();
 
-    // The resume must pick the legacy file up and complete identically.
+    let opts = RunOptions {
+        checkpoint_dir: Some(dir.0.clone()),
+        checkpoint_every: 2,
+        resume: true,
+        ..RunOptions::default()
+    };
     let mut resumed_out = Vec::new();
-    let resumed =
-        run_scenario(&spec, "t", &RunOptions { resume: true, ..ckpt }, &mut resumed_out).unwrap();
+    let resumed = run_scenario(&spec, "t", &opts, &mut resumed_out).unwrap();
     assert!(resumed.completed);
     assert_eq!(resumed.attack.history, straight.attack.history);
-    let mut stitched = partial_out;
-    stitched.extend_from_slice(&resumed_out);
-    assert_eq!(stitched, straight_out, "stitched JSONL diverged after migration");
+    assert_eq!(resumed_out, straight_out, "a legacy-named file changed the fresh run");
 }
 
 #[test]

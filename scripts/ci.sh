@@ -110,6 +110,10 @@ step fmt-check cargo fmt --all --check
 step lint run_cia_lint
 step build cargo build --release --workspace
 step test run_with_peak_rss cargo test --workspace -q
+# The scenario benchmark is its own package (perfbench/, outside the
+# workspace) built on the crates' public round API; build and test it so an
+# API change cannot break the benchmark unnoticed.
+step perfbench cargo test --release --offline --manifest-path perfbench/Cargo.toml
 # fmt-check, cia-lint and the workspace tests already ran above; tell
 # bench_smoke.sh not to repeat them.
 CIA_SKIP_REDUNDANT_GATES=1 step bench-smoke scripts/bench_smoke.sh
