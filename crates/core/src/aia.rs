@@ -9,8 +9,8 @@
 //! paper finds this both costlier and weaker than CIA — largely because
 //! locally trained gradients do not match FL-round gradients.
 
-use crate::fl::CiaConfig;
-use crate::metrics::{community_accuracy, AttackOutcome, AttackTracker};
+use crate::cia::CiaConfig;
+use crate::metrics::{community_accuracy, top_k_ids, AttackOutcome, AttackTracker};
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
 use cia_models::params::l2_norm;
@@ -189,25 +189,19 @@ impl AiaCommunityAttack {
             self.classifier = Some(clf);
         }
         let clf = self.classifier.as_ref().expect("trained above");
-        let mut scored: Vec<(f32, u32)> = self
-            .updates
-            .iter()
-            .enumerate()
-            .filter_map(|(u, upd)| {
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                if self.owner == Some(UserId::new(u as u32)) {
-                    return None;
-                }
-                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                upd.as_ref().map(|v| (clf.prob_binary(v), u as u32))
-            })
-            .collect();
-        if scored.is_empty() {
+        let candidates = self.updates.iter().enumerate().filter_map(|(u, upd)| {
+            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+            if self.owner == Some(UserId::new(u as u32)) {
+                return None;
+            }
+            // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+            upd.as_ref().map(|v| (clf.prob_binary(v), u as u32))
+        });
+        let predicted: Vec<UserId> =
+            top_k_ids(candidates, self.cfg.cia.k).into_iter().map(UserId::new).collect();
+        if predicted.is_empty() {
             return;
         }
-        scored.sort_by(crate::metrics::rank_desc);
-        let predicted: Vec<UserId> =
-            scored.into_iter().take(self.cfg.cia.k).map(|(_, u)| UserId::new(u)).collect();
         let acc = community_accuracy(&predicted, &self.truth, self.cfg.cia.k);
         self.tracker.record(round, &[acc], &[1.0]);
     }

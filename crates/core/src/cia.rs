@@ -1,11 +1,19 @@
-//! CIA in the federated setting (Algorithm 1): the adversary controls the
-//! server and attacks with the models received from sampled users each round.
+//! The momentum-based Community Inference Attack (Algorithms 1 and 2).
+//!
+//! Both algorithms are one comparison-based attack: keep the Eq. 4 parameter
+//! momentum per sender, score every momentum model against each target and
+//! predict the top `K`. They differ only in what the adversary sees. The FL
+//! server sees every uploaded client model ([`RoundObserver`]); a gossip
+//! coalition sees the models delivered to the nodes it controls
+//! ([`GossipObserver`]). [`MomentumCia`] implements both observers, and
+//! [`FlCia`] and [`GlCiaCoalition`] name its two roles.
 
 use crate::evaluator::RelevanceEvaluator;
-use crate::metrics::{community_accuracy, AttackOutcome, AttackTracker};
+use crate::metrics::{community_accuracy, top_k_ids, AttackOutcome, AttackTracker, RoundPoint};
 use crate::momentum::MomentumState;
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
+use cia_gossip::{GossipObserver, GossipRoundStats};
 use cia_models::parallel::{par_chunks_mut, par_map};
 use cia_models::SharedModel;
 use cia_obs::Recorder;
@@ -32,28 +40,40 @@ impl Default for CiaConfig {
     }
 }
 
-/// Serializable snapshot of a momentum-based CIA attack's mutable state
-/// ([`FlCia`] and [`crate::GlCiaCoalition`]), used for checkpoint/resume of
-/// long suite runs. Evaluator-side state (fictive embeddings) is captured
-/// separately through the evaluator accessors.
+/// Serializable snapshot of a [`MomentumCia`]'s mutable state, used for
+/// checkpoint/resume of long suite runs. Evaluator-side state (fictive
+/// embeddings) is captured separately through the evaluator accessors.
 #[derive(Debug, Clone)]
 pub struct CiaAttackState {
     /// Per-sender momentum table (`None` = never observed).
     pub momentum: Vec<Option<MomentumState>>,
     /// Evaluated history recorded so far.
-    pub history: Vec<crate::metrics::RoundPoint>,
+    pub history: Vec<RoundPoint>,
     /// Last observed public parameters (fictive-embedding reference).
     pub last_global: Option<Vec<f32>>,
     /// Whether the evaluator has been prepared at least once.
     pub prepared: bool,
 }
 
-/// Algorithm 1: the server-side Community Inference Attack.
+/// Algorithm 1: the server-side attack, observing every client upload.
+pub type FlCia<E> = MomentumCia<E>;
+
+/// Algorithm 2 with parameter momentum, for one adversary node or a
+/// coalition of colluders: build with [`MomentumCia::new`], then restrict
+/// the observed receivers with [`MomentumCia::set_members`]. Colluders
+/// multicast received models to each other (line 14 of Algorithm 2), so the
+/// coalition shares one momentum table.
+pub type GlCiaCoalition<E> = MomentumCia<E>;
+
+/// The momentum CIA engine behind [`FlCia`] and [`GlCiaCoalition`].
 ///
-/// Plug an instance into [`cia_federated::FedAvg::run`] as the observer; the
-/// attack maintains one momentum model per user and at every evaluation round
-/// ranks users by the relevance their averaged model assigns to each target.
-pub struct FlCia<E: RelevanceEvaluator> {
+/// It keeps one momentum model per sender and at every evaluation round
+/// ranks senders by the relevance their momentum model assigns to each
+/// target. As a [`RoundObserver`] it observes every client upload and takes
+/// the broadcast global model as its reference parameters. As a
+/// [`GossipObserver`] it observes only deliveries to its members and takes
+/// the reference parameters from the delivered model.
+pub struct MomentumCia<E: RelevanceEvaluator> {
     cfg: CiaConfig,
     evaluator: E,
     /// Truth community per target, aligned with the evaluator's targets.
@@ -61,17 +81,22 @@ pub struct FlCia<E: RelevanceEvaluator> {
     /// Per-target owner to exclude from candidates (the user whose train set
     /// is the target), if any.
     owners: Vec<Option<UserId>>,
+    /// Gossip receivers whose deliveries the adversary observes (every node
+    /// until [`MomentumCia::set_members`] narrows it).
+    members: Vec<bool>,
+    /// Dense momentum slab indexed by sender id (`None` = never observed).
     momentum: Vec<Option<MomentumState>>,
     /// Flat `num_users × num_targets` relevance matrix, reused across
     /// evaluation rounds (rows of never-seen users stay untouched and are
     /// skipped at ranking time).
     rel: Vec<f32>,
-    /// The most recent acting-set mask delivered through
-    /// [`RoundObserver::on_liveness`] — the dynamics layer's live set,
-    /// feeding the per-round online upper bound. All-true until a mask
-    /// arrives (static populations never shrink it).
+    /// The most recent acting-set mask delivered through `on_liveness` — the
+    /// dynamics layer's live set, feeding the per-round online upper bound.
+    /// All-true until a mask arrives (static populations never shrink it).
     live: Vec<bool>,
     tracker: AttackTracker,
+    /// Last observed public parameters: the broadcast global model in FL,
+    /// the last observed delivery's parameters in gossip.
     last_global: Option<Vec<f32>>,
     prepared: bool,
     /// Metrics sink for the attack-phase spans (prepare/score/rank/update);
@@ -79,8 +104,9 @@ pub struct FlCia<E: RelevanceEvaluator> {
     obs: Recorder,
 }
 
-impl<E: RelevanceEvaluator> FlCia<E> {
-    /// Creates the attack for `num_users` participants.
+impl<E: RelevanceEvaluator> MomentumCia<E> {
+    /// Creates the attack for `num_users` participants, observing every
+    /// node.
     ///
     /// `truths[t]` is the ground-truth community of the evaluator's target
     /// `t` (Eq. 5); `owners[t]` optionally excludes the target's donor user
@@ -89,7 +115,7 @@ impl<E: RelevanceEvaluator> FlCia<E> {
     /// # Panics
     ///
     /// Panics if the truth/owner tables are not aligned with the evaluator's
-    /// targets or `k == 0`.
+    /// targets, `k == 0`, `eval_every == 0` or `β` lies outside `[0, 1]`.
     pub fn new(
         cfg: CiaConfig,
         evaluator: E,
@@ -103,9 +129,10 @@ impl<E: RelevanceEvaluator> FlCia<E> {
         assert_eq!(truths.len(), evaluator.num_targets(), "one truth per target");
         assert_eq!(owners.len(), evaluator.num_targets(), "one owner entry per target");
         let candidates = num_users.saturating_sub(usize::from(owners.iter().any(Option::is_some)));
-        FlCia {
+        MomentumCia {
             tracker: AttackTracker::new(cfg.k, candidates),
             rel: vec![0.0; num_users * evaluator.num_targets()],
+            members: vec![true; num_users],
             live: vec![true; num_users],
             cfg,
             evaluator,
@@ -131,7 +158,7 @@ impl<E: RelevanceEvaluator> FlCia<E> {
 
     /// The evaluated per-round history so far (streaming access for suite
     /// runners that emit one record per evaluation).
-    pub fn history(&self) -> &[crate::metrics::RoundPoint] {
+    pub fn history(&self) -> &[RoundPoint] {
         self.tracker.history()
     }
 
@@ -145,11 +172,40 @@ impl<E: RelevanceEvaluator> FlCia<E> {
         &mut self.evaluator
     }
 
-    /// Predicted community for target `t` at the last evaluation (requires at
-    /// least one evaluation round). Exposed for the motivating example.
+    /// Number of distinct senders observed so far.
+    pub fn senders_seen(&self) -> usize {
+        self.momentum.iter().flatten().count()
+    }
+
+    /// The gossip receivers the adversary observes, ascending.
+    pub fn members(&self) -> Vec<u32> {
+        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+        self.members.iter().enumerate().filter_map(|(i, &m)| m.then_some(i as u32)).collect()
+    }
+
+    /// Restricts the observed gossip receivers to `members`: a lone
+    /// adversary or a coalition right after construction, or a mid-run
+    /// relocation (adaptive sybil placement). Only the delivery filter
+    /// changes: the sender-keyed momentum table, the tracker history and the
+    /// evaluator state all survive, so members retained across a relocation
+    /// keep every observation.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty membership or an out-of-range node id.
+    pub fn set_members(&mut self, members: &[u32]) {
+        assert!(!members.is_empty(), "coalition needs at least one member");
+        self.members.iter_mut().for_each(|m| *m = false);
+        for &m in members {
+            self.members[m as usize] = true;
+        }
+    }
+
+    /// Predicted community for target `t` from the current momentum models.
+    /// Exposed for the motivating example.
     pub fn predict(&mut self, target: usize) -> Vec<UserId> {
         self.refresh_relevance();
-        self.rank_all()[target].clone()
+        self.rank_all().swap_remove(target)
     }
 
     /// Scores every seen user's momentum model against every target, into the
@@ -167,30 +223,25 @@ impl<E: RelevanceEvaluator> FlCia<E> {
         });
     }
 
-    /// Runs the ranking for every target against the relevance matrix
-    /// ([`FlCia::refresh_relevance`] must have run since the last momentum
-    /// update).
+    /// Ranks the seen users for every target against the relevance matrix
+    /// ([`MomentumCia::refresh_relevance`] must have run since the last
+    /// momentum update).
     fn rank_all(&self) -> Vec<Vec<UserId>> {
         let num_targets = self.evaluator.num_targets();
         par_map(num_targets, |t| {
-            let mut scored: Vec<(f32, u32)> = self
-                .momentum
-                .iter()
-                .enumerate()
-                .filter_map(|(u, m)| {
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    if m.is_none() || self.owners[t] == Some(UserId::new(u as u32)) {
-                        return None;
-                    }
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    Some((self.rel[u * num_targets + t], u as u32))
-                })
-                .collect();
-            scored.sort_by(crate::metrics::rank_desc);
-            scored.into_iter().take(self.cfg.k).map(|(_, u)| UserId::new(u)).collect()
+            let candidates = self.momentum.iter().enumerate().filter_map(|(u, m)| {
+                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+                let id = u as u32;
+                (m.is_some() && self.owners[t] != Some(UserId::new(id)))
+                    .then(|| (self.rel[u * num_targets + t], id))
+            });
+            top_k_ids(candidates, self.cfg.k).into_iter().map(UserId::new).collect()
         })
     }
 
+    /// Scores, ranks and records one round. Before any observation every
+    /// prediction is empty and every bound counts nobody, so the recorded
+    /// point is all zero; `prepare` waits for reference parameters.
     fn evaluate(&mut self, round: u64) {
         let obs = self.obs.clone();
         if let Some(global) = &self.last_global {
@@ -209,8 +260,7 @@ impl<E: RelevanceEvaluator> FlCia<E> {
         let mut accs = Vec::with_capacity(predictions.len());
         let mut uppers = Vec::with_capacity(predictions.len());
         let mut uppers_online = Vec::with_capacity(predictions.len());
-        for (t, pred) in predictions.iter().enumerate() {
-            let truth = &self.truths[t];
+        for (pred, truth) in predictions.iter().zip(&self.truths) {
             accs.push(community_accuracy(pred, truth, self.cfg.k));
             let seen = truth.iter().filter(|u| self.momentum[u.index()].is_some()).count();
             let seen_live = truth
@@ -222,13 +272,37 @@ impl<E: RelevanceEvaluator> FlCia<E> {
         }
         self.tracker.record_with_online(round, &accs, &uppers, &uppers_online);
     }
+
+    fn track_liveness(&mut self, event: LivenessEvent<'_>) {
+        if let LivenessEvent::ActingSet { mask, .. } = event {
+            // One entry per participant; a length mismatch is a wiring bug
+            // and must fail loudly rather than leave part of the live set
+            // stale.
+            self.live.copy_from_slice(mask);
+        }
+    }
+
+    fn end_round(&mut self, round: u64) {
+        if (round + 1).is_multiple_of(self.cfg.eval_every) {
+            self.evaluate(round);
+        }
+    }
+}
+
+/// Folds one observed model into its sender's momentum slot (Eq. 4; the
+/// first observation initializes it).
+fn fold(slot: &mut Option<MomentumState>, beta: f32, model: &SharedModel) {
+    match slot {
+        Some(state) => state.update(beta, model),
+        None => *slot = Some(MomentumState::from_snapshot(model)),
+    }
 }
 
 /// Snapshot/restore of the attack's mutable state for checkpoint/resume.
 /// Evaluator-side state (fictive embeddings) is captured separately through
 /// the evaluator accessors. Restoring panics if the momentum table is not
 /// aligned with the participants.
-impl<E: RelevanceEvaluator> Checkpointable for FlCia<E> {
+impl<E: RelevanceEvaluator> Checkpointable for MomentumCia<E> {
     type State = CiaAttackState;
 
     fn export_state(&self) -> CiaAttackState {
@@ -249,14 +323,9 @@ impl<E: RelevanceEvaluator> Checkpointable for FlCia<E> {
     }
 }
 
-impl<E: RelevanceEvaluator> RoundObserver for FlCia<E> {
+impl<E: RelevanceEvaluator> RoundObserver for MomentumCia<E> {
     fn on_liveness(&mut self, event: LivenessEvent<'_>) {
-        if let LivenessEvent::ActingSet { mask, .. } = event {
-            // One entry per participant; a length mismatch is a wiring bug
-            // and must fail loudly rather than leave part of the live set
-            // stale.
-            self.live.copy_from_slice(mask);
-        }
+        self.track_liveness(event);
     }
 
     fn on_global(&mut self, _round: u64, global_agg: &[f32]) {
@@ -265,17 +334,32 @@ impl<E: RelevanceEvaluator> RoundObserver for FlCia<E> {
 
     fn on_client_model(&mut self, model: &SharedModel) {
         let _update = self.obs.span("attack_update");
-        let u = model.owner.index();
-        match &mut self.momentum[u] {
-            Some(state) => state.update(self.cfg.beta, model),
-            slot @ None => *slot = Some(MomentumState::from_snapshot(model)),
-        }
+        fold(&mut self.momentum[model.owner.index()], self.cfg.beta, model);
     }
 
     fn on_round_end(&mut self, stats: &RoundStats) {
-        if (stats.round + 1).is_multiple_of(self.cfg.eval_every) {
-            self.evaluate(stats.round);
+        self.end_round(stats.round);
+    }
+}
+
+impl<E: RelevanceEvaluator> GossipObserver for MomentumCia<E> {
+    fn on_liveness(&mut self, event: LivenessEvent<'_>) {
+        self.track_liveness(event);
+    }
+
+    fn on_delivery(&mut self, _round: u64, receiver: UserId, model: &SharedModel) {
+        if !self.members[receiver.index()] {
+            return;
         }
+        let _update = self.obs.span("attack_update");
+        // Members also observe each other's honest models; those are
+        // genuine participants and stay candidates.
+        self.last_global = Some(model.agg.clone());
+        fold(&mut self.momentum[model.owner.index()], self.cfg.beta, model);
+    }
+
+    fn on_round_end(&mut self, stats: &GossipRoundStats) {
+        self.end_round(stats.round);
     }
 }
 
@@ -411,7 +495,10 @@ mod tests {
                             }
                         }
                     }
-                    self.0.on_liveness(LivenessEvent::ActingSet { round, mask });
+                    RoundObserver::on_liveness(
+                        &mut self.0,
+                        LivenessEvent::ActingSet { round, mask },
+                    );
                 }
             }
             fn on_global(&mut self, round: u64, global_agg: &[f32]) {
@@ -421,7 +508,7 @@ mod tests {
                 self.0.on_client_model(model);
             }
             fn on_round_end(&mut self, stats: &RoundStats) {
-                self.0.on_round_end(stats);
+                RoundObserver::on_round_end(&mut self.0, stats);
             }
         }
 

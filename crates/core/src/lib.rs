@@ -10,13 +10,16 @@
 //!
 //! Components:
 //!
-//! * [`FlCia`] — Algorithm 1, implemented as a [`cia_federated::RoundObserver`];
-//! * [`GlCiaCoalition`] — Algorithm 2 with parameter momentum, for a single
-//!   adversary or a colluding coalition that multicasts received models;
+//! * [`MomentumCia`] — the momentum CIA engine. It observes FedAvg uploads
+//!   as a [`cia_federated::RoundObserver`] (Algorithm 1, aliased [`FlCia`])
+//!   and gossip deliveries to the nodes it controls as a
+//!   [`cia_gossip::GossipObserver`] (Algorithm 2 for a single adversary or
+//!   a colluding coalition that multicasts received models, aliased
+//!   [`GlCiaCoalition`]);
 //! * [`GlCiaAllPlacements`] — the all-placements sweep used for Table III,
-//!   applying the momentum to relevance *scores* (substitution documented in
-//!   `DESIGN.md` §3: per-(observer, sender) parameter momentum for every
-//!   placement at once would need O(N²) model copies);
+//!   applying the momentum to relevance *scores*: per-(observer, sender)
+//!   parameter momentum for every placement at once would need O(N²) model
+//!   copies;
 //! * [`ItemSetEvaluator`] — relevance of a model for item-set targets,
 //!   including the Share-less adaptation that trains a fictive adversary
 //!   embedding (§IV-C);
@@ -25,25 +28,26 @@
 //! * [`AiaCommunityAttack`] — the gradient-classifier attribute-inference
 //!   proxy (§VIII-C2);
 //! * [`metrics`] — attack accuracy (Eq. 6), Max AAC, Best-10% AAC, random
-//!   and upper bounds;
+//!   and upper bounds, and [`metrics::top_k_ids`], the one top-`K` routine
+//!   behind every attack ranking;
 //! * [`complexity`] — the temporal cost model of Table IX.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod aia;
+mod cia;
 pub mod complexity;
 mod evaluator;
-mod fl;
 mod gl;
 pub mod metrics;
 mod mia;
 mod momentum;
 
 pub use aia::{AiaCommunityAttack, AiaConfig};
+pub use cia::{CiaAttackState, CiaConfig, FlCia, GlCiaCoalition, MomentumCia};
 pub use evaluator::{ItemSetEvaluator, RelevanceEvaluator, RelevanceKind};
-pub use fl::{CiaAttackState, CiaConfig, FlCia};
-pub use gl::{GlCiaAllPlacements, GlCiaCoalition, PlacementsState};
+pub use gl::{GlCiaAllPlacements, PlacementsState};
 pub use metrics::{AttackOutcome, AttackTracker, RoundPoint, TopK};
 pub use mia::{membership_entropy, MiaCommunityAttack, MiaConfig};
 pub use momentum::MomentumState;

@@ -106,6 +106,18 @@ impl TopK {
     }
 }
 
+/// The ids of the best `k` of `pairs` under [`rank_desc`], best first: the
+/// one top-`k` routine behind every attack ranking. It streams through
+/// [`TopK`], so it returns exactly the first `k` ids of a full
+/// `sort_by(rank_desc)` of the same pairs.
+pub fn top_k_ids(pairs: impl IntoIterator<Item = (f32, u32)>, k: usize) -> Vec<u32> {
+    let mut sel = TopK::new(k);
+    for (score, id) in pairs {
+        sel.push(score, id);
+    }
+    sel.into_ids()
+}
+
 /// One evaluated round.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RoundPoint {
@@ -368,20 +380,13 @@ mod tests {
 
     #[test]
     fn topk_sinks_nan_and_breaks_ties_on_id() {
-        // Same fixture as the runner's historical `top_k_by_score` tests:
-        // NaN sinks below everything, equal scores order by ascending id.
+        // NaN sinks below everything, equal scores order by ascending id,
+        // and arrival order never leaks into the ranking.
         let pairs = [(1.0, 0), (f32::NAN, 1), (2.0, 2), (2.0, 3), (1.0, 4)];
-        let mut sel = TopK::new(3);
-        for &(s, id) in &pairs {
-            sel.push(s, id);
-        }
-        assert_eq!(sel.into_ids(), vec![2, 3, 0]);
+        assert_eq!(top_k_ids(pairs, 3), vec![2, 3, 0]);
+        assert_eq!(top_k_ids(pairs.iter().rev().copied(), 3), vec![2, 3, 0]);
         // With k ≥ n the NaN still lands dead last.
-        let mut sel = TopK::new(8);
-        for &(s, id) in &pairs {
-            sel.push(s, id);
-        }
-        assert_eq!(sel.into_ids(), vec![2, 3, 0, 4, 1]);
+        assert_eq!(top_k_ids(pairs, 8), vec![2, 3, 0, 4, 1]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! members of their training set — the paper shows this is strictly weaker
 //! than CIA (Table VIII).
 
-use crate::fl::CiaConfig;
-use crate::metrics::{community_accuracy, AttackOutcome, AttackTracker};
+use crate::cia::CiaConfig;
+use crate::metrics::{community_accuracy, top_k_ids, AttackOutcome, AttackTracker};
 use crate::momentum::MomentumState;
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
@@ -59,7 +59,7 @@ pub struct MiaCommunityAttack<S: RelevanceScorer> {
 }
 
 impl<S: RelevanceScorer> MiaCommunityAttack<S> {
-    /// Creates the proxy attack. Inputs mirror [`crate::FlCia::new`] plus the
+    /// Creates the proxy attack. Inputs mirror [`crate::MomentumCia::new`] plus the
     /// real train sets for precision measurement.
     ///
     /// # Panics
@@ -164,21 +164,16 @@ impl<S: RelevanceScorer> MiaCommunityAttack<S> {
         let mut accs = Vec::with_capacity(self.targets.len());
         let mut uppers = Vec::with_capacity(self.targets.len());
         for t in 0..self.targets.len() {
-            let mut scored: Vec<(f32, u32)> = member_frac
-                .iter()
-                .enumerate()
-                .filter_map(|(u, r)| {
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    if self.owners[t] == Some(UserId::new(u as u32)) {
-                        return None;
-                    }
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    r.as_ref().map(|(fracs, _)| (fracs[t], u as u32))
-                })
-                .collect();
-            scored.sort_by(crate::metrics::rank_desc);
+            let candidates = member_frac.iter().enumerate().filter_map(|(u, r)| {
+                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+                if self.owners[t] == Some(UserId::new(u as u32)) {
+                    return None;
+                }
+                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+                r.as_ref().map(|(fracs, _)| (fracs[t], u as u32))
+            });
             let predicted: Vec<UserId> =
-                scored.into_iter().take(self.cfg.cia.k).map(|(_, u)| UserId::new(u)).collect();
+                top_k_ids(candidates, self.cfg.cia.k).into_iter().map(UserId::new).collect();
             accs.push(community_accuracy(&predicted, &self.truths[t], self.cfg.cia.k));
             let seen = self.truths[t].iter().filter(|u| self.momentum[u.index()].is_some()).count();
             uppers.push(seen as f64 / self.cfg.cia.k as f64);

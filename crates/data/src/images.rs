@@ -119,8 +119,8 @@ impl ImageDataset {
     }
 }
 
-/// One draw from the standard normal distribution (Box–Muller; see
-/// `DESIGN.md` §5 for why we avoid an extra dependency).
+/// One draw from the standard normal distribution (Box–Muller on top of
+/// `rand`, so no distribution crate is needed).
 fn gaussian(rng: &mut StdRng) -> f32 {
     let u1: f32 = rng.gen::<f32>().max(f32::MIN_POSITIVE);
     let u2: f32 = rng.gen();

@@ -1,6 +1,7 @@
 //! Community-structured synthetic dataset generator.
 //!
-//! Substitutes the paper's real datasets (see `DESIGN.md` §3): users are
+//! Substitutes the paper's real datasets, which the repository does not
+//! ship: users are
 //! partitioned into *communities of interest*; each community has a primary
 //! topic cluster of items, and a user draws each interaction from their own
 //! cluster with probability [`SyntheticConfig::topic_affinity`] (Zipf-skewed

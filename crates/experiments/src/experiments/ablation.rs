@@ -9,8 +9,8 @@
 //! (b) sweeps β of Eq. 4 in the federated setting, quantifying the
 //! anchor-on-early-models effect discussed in `EXPERIMENTS.md` (Table VI).
 
-use crate::runner::ScaleParams;
 use crate::tables::{pct, Table};
+use crate::ScaleParams;
 use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::Scale;
 use cia_data::{GroundTruth, LeaveOneOut, SyntheticConfig, UserId};

@@ -1,8 +1,8 @@
 //! §VIII-C2 — the AIA gradient classifier as a community-inference proxy,
 //! compared against CIA on the same targets.
 
-use crate::runner::{build_setup, ScaleParams};
 use crate::tables::{pct, Table};
+use crate::{build_setup, ScaleParams};
 use cia_core::{AiaCommunityAttack, AiaConfig, CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::{Preset, Scale};
 use cia_data::UserId;

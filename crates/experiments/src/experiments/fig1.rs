@@ -6,8 +6,8 @@
 //! from the *public* category catalog (all Health-and-Medicine items) and
 //! runs CIA with K = 3.
 
-use crate::runner::ScaleParams;
 use crate::tables::{pct, Table};
+use crate::ScaleParams;
 use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::Scale;
 use cia_data::{

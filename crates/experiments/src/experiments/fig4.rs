@@ -2,8 +2,8 @@
 //! (F1-score utility, POI datasets only).
 
 use crate::experiments::fig3::tradeoff;
-use crate::runner::ModelKind;
 use crate::tables::Table;
+use crate::ModelKind;
 use cia_data::presets::{Preset, Scale};
 
 /// Regenerates Figure 4 (as a table of the plotted series).

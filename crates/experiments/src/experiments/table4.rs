@@ -1,8 +1,9 @@
 //! Table IV — effect of colluders in GL (Rand-Gossip, GMF, MovieLens).
 
-use crate::runner::{build_setup, run_recsys, DefenseKind, ModelKind, ProtocolKind, RunSpec};
 use crate::tables::{pct, Table};
+use crate::{build_setup, DefenseKind, ModelKind, ProtocolKind};
 use cia_data::presets::{Preset, Scale};
+use cia_scenarios::{run_quiet, ScenarioSpec};
 
 /// The colluder fractions evaluated by the paper (0 = single adversary).
 pub const COLLUDER_FRACTIONS: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
@@ -18,12 +19,12 @@ pub fn sweep(scale: Scale, seed: u64, defense: DefenseKind, beta: f32, title: St
     for frac in COLLUDER_FRACTIONS {
         let colluders = if frac == 0.0 { 0 } else { ((n as f64 * frac).round() as usize).max(2) };
         let mut spec =
-            RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::RandGossip, scale);
+            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::RandGossip, scale);
         spec.seed = seed;
         spec.defense = defense;
         spec.beta = beta;
         spec.colluders = colluders;
-        let r = run_recsys(&spec);
+        let r = run_quiet(&spec);
         let setting = if frac == 0.0 {
             "Single adversary".to_string()
         } else {

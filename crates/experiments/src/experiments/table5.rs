@@ -1,8 +1,8 @@
 //! Table V — collusion in GL under the Share-less strategy.
 
 use crate::experiments::table4::sweep;
-use crate::runner::DefenseKind;
 use crate::tables::Table;
+use crate::DefenseKind;
 use cia_data::presets::Scale;
 
 /// Regenerates Table V.

@@ -1,13 +1,14 @@
 //! Table VIII — the entropy-based MIA as a community-inference proxy
 //! (FL, GMF, MovieLens), compared against CIA.
 
-use crate::runner::{build_setup, run_recsys, ModelKind, ProtocolKind, RunSpec, ScaleParams};
 use crate::tables::{pct, Table};
+use crate::{build_setup, ModelKind, ProtocolKind, ScaleParams};
 use cia_core::{CiaConfig, MiaCommunityAttack, MiaConfig};
 use cia_data::presets::{Preset, Scale};
 use cia_data::UserId;
 use cia_federated::{FedAvg, FedAvgConfig};
 use cia_models::{GmfHyper, GmfSpec, SharingPolicy};
+use cia_scenarios::{run_quiet, ScenarioSpec};
 
 /// The entropy thresholds of Table VIII.
 pub const RHOS: [f32; 5] = [0.2, 0.4, 0.6, 0.8, 1.0];
@@ -78,9 +79,10 @@ pub fn run(scale: Scale, seed: u64) -> Vec<Table> {
     }
 
     // CIA reference row on the identical setting.
-    let mut cia_spec = RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, scale);
+    let mut cia_spec =
+        ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, scale);
     cia_spec.seed = seed;
-    let cia = run_recsys(&cia_spec);
+    let cia = run_quiet(&cia_spec);
     t.row(vec!["CIA".into(), "-".into(), "-".into(), pct(cia.attack.max_aac)]);
     vec![t]
 }

@@ -2,8 +2,8 @@
 //! the analytic cost model instantiated with unit costs *measured on this
 //! machine*.
 
-use crate::runner::{build_setup, ScaleParams};
 use crate::tables::Table;
+use crate::{build_setup, ScaleParams};
 use cia_core::complexity::CostModel;
 use cia_data::presets::{Preset, Scale};
 use cia_models::{GmfHyper, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer};

@@ -7,7 +7,7 @@
 //! cargo run --release -p cia-experiments --bin repro -- table2 --scale small
 //! ```
 //!
-//! The experiment ↔ paper mapping is indexed in `DESIGN.md` §4.
+//! Each module's docs name the table or figure it regenerates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -17,7 +17,6 @@ mod runner;
 pub mod tables;
 
 pub use cia_data::presets::{Preset, Scale};
-pub use runner::{
-    build_setup, run_recsys, DefenseKind, ModelKind, ProtocolKind, RecsysSetup, RunResult, RunSpec,
-    ScaleParams,
-};
+pub use cia_scenarios::setup::{build_setup, RecsysSetup};
+pub use cia_scenarios::spec::{DefenseKind, ModelKind, ProtocolKind, ScaleParams};
+pub use cia_scenarios::RunResult;

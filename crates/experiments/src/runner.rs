@@ -1,42 +1,19 @@
-//! The shared experiment runner — a thin consumer of the `cia-scenarios`
-//! spec types and engine.
-//!
-//! Everything a table or figure needs — the spec vocabulary
-//! ([`ModelKind`], [`ProtocolKind`], [`DefenseKind`], [`ScaleParams`]), the
-//! dataset substrate ([`build_setup`]) and the end-to-end engine
-//! ([`run_recsys`]) — lives in `cia-scenarios` now; experiments only choose
-//! *which* scenarios reproduce a paper artifact. New workloads (churn,
-//! stragglers, sybils, partial participation) are one `dynamics` block away
-//! instead of a new hand-wired function — see `crates/scenarios/README.md`.
-
-pub use cia_scenarios::setup::{build_setup, RecsysSetup};
-pub use cia_scenarios::spec::{DefenseKind, ModelKind, ProtocolKind, ScaleParams};
-pub use cia_scenarios::RunResult;
-
-/// One experiment configuration: a scenario spec under its legacy name.
-/// `ScenarioSpec::new` defaults to the paper's setting — full sharing, no
-/// defense, single adversary, static population.
-pub type RunSpec = cia_scenarios::ScenarioSpec;
-
-/// Runs one experiment end to end and reports attack + utility.
-///
-/// # Panics
-///
-/// Panics if the spec fails validation (experiment specs are built
-/// programmatically, so a violation is a bug).
-pub fn run_recsys(spec: &RunSpec) -> RunResult {
-    cia_scenarios::run_quiet(spec)
-}
+//! Smoke tests of the end-to-end runs behind most tables and figures,
+//! which drive [`cia_scenarios::run_quiet`] with a
+//! [`cia_scenarios::ScenarioSpec`]: FL and gossip, both models, both
+//! defenses, a coalition, and the dynamics-aware bound.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{build_setup, DefenseKind, ModelKind, ProtocolKind};
     use cia_data::presets::{Preset, Scale};
+    use cia_scenarios::{run_quiet, ScenarioSpec};
 
     #[test]
     fn smoke_fl_gmf_run() {
-        let spec = RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Smoke);
-        let r = run_recsys(&spec);
+        let spec =
+            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Smoke);
+        let r = run_quiet(&spec);
         assert!(r.attack.max_aac > r.attack.random_bound, "attack below random");
         assert!(r.utility > 0.0, "HR must be positive");
         assert_eq!(r.utility_metric, "HR@20");
@@ -44,13 +21,13 @@ mod tests {
 
     #[test]
     fn smoke_gossip_prme_run() {
-        let spec = RunSpec::new(
+        let spec = ScenarioSpec::new(
             Preset::Foursquare,
             ModelKind::Prme,
             ProtocolKind::RandGossip,
             Scale::Smoke,
         );
-        let r = run_recsys(&spec);
+        let r = run_quiet(&spec);
         assert!((0.0..=1.0).contains(&r.attack.max_aac));
         assert_eq!(r.utility_metric, "F1@20");
     }
@@ -58,22 +35,26 @@ mod tests {
     #[test]
     fn smoke_share_less_and_dp_run() {
         let mut spec =
-            RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Smoke);
+            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Smoke);
         spec.defense = DefenseKind::ShareLess { tau: 0.3 };
-        let sl = run_recsys(&spec);
+        let sl = run_quiet(&spec);
         assert!((0.0..=1.0).contains(&sl.attack.max_aac));
 
         spec.defense = DefenseKind::Dp { epsilon: Some(10.0) };
-        let dp = run_recsys(&spec);
+        let dp = run_quiet(&spec);
         assert!((0.0..=1.0).contains(&dp.attack.max_aac));
     }
 
     #[test]
     fn smoke_coalition_run() {
-        let mut spec =
-            RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::RandGossip, Scale::Smoke);
+        let mut spec = ScenarioSpec::new(
+            Preset::MovieLens,
+            ModelKind::Gmf,
+            ProtocolKind::RandGossip,
+            Scale::Smoke,
+        );
         spec.colluders = 4;
-        let r = run_recsys(&spec);
+        let r = run_quiet(&spec);
         assert!((0.0..=1.0).contains(&r.attack.max_aac));
         assert!(r.attack.upper_bound > 0.0, "coalition saw nobody");
     }
@@ -83,8 +64,9 @@ mod tests {
         // Every table/figure run is a static-population scenario, so the
         // dynamics-aware bound must coincide with the paper's coverage
         // bound — tables keep reporting one number.
-        let spec = RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Smoke);
-        let r = run_recsys(&spec);
+        let spec =
+            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Smoke);
+        let r = run_quiet(&spec);
         assert_eq!(r.attack.upper_bound_online, r.attack.upper_bound);
         for p in &r.attack.history {
             assert_eq!(p.upper_bound_online, p.upper_bound);
@@ -94,14 +76,14 @@ mod tests {
     #[test]
     fn online_bound_separates_under_churn() {
         let mut spec =
-            RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Smoke);
+            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Smoke);
         spec.dynamics = cia_scenarios::DynamicsSpec {
             leave_prob: 0.2,
             join_prob: 0.3,
             initial_online: 0.8,
             ..Default::default()
         };
-        let r = run_recsys(&spec);
+        let r = run_quiet(&spec);
         assert!(
             r.attack.history.iter().all(|p| p.upper_bound_online <= p.upper_bound + 1e-12),
             "online bound exceeded the static bound"

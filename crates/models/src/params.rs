@@ -67,7 +67,7 @@ pub fn weighted_mean(out: &mut [f32], rows: &[&[f32]], weights: &[f32]) {
 }
 
 /// Adds i.i.d. Gaussian noise of standard deviation `std` to `x`
-/// (Box–Muller on top of `rand`, see `DESIGN.md` §5).
+/// (Box–Muller on top of `rand`, so no distribution crate is needed).
 pub fn add_gaussian_noise(x: &mut [f32], std: f32, rng: &mut StdRng) {
     if std == 0.0 {
         return;

@@ -72,7 +72,8 @@ pub enum ProtocolState {
 /// Attack-side state, by engine.
 #[derive(Debug, Clone)]
 pub enum AttackState {
-    /// [`cia_core::FlCia`] / [`cia_core::GlCiaCoalition`] momentum state.
+    /// [`cia_core::MomentumCia`] momentum state ([`cia_core::FlCia`] and
+    /// [`cia_core::GlCiaCoalition`]).
     Cia(CiaAttackState),
     /// [`cia_core::GlCiaAllPlacements`] score-EMA state.
     Placements(PlacementsState),
@@ -379,6 +380,22 @@ impl Checkpoint {
             || seen.iter().flatten().any(|&s| s as usize >= population)
         {
             return Err("placement delivery log malformed".to_string());
+        }
+        // Restoring asserts every per-participant table against the rebuilt
+        // run; a length the population does not imply is refused here too.
+        let attack_aligned = match &attack {
+            AttackState::Cia(state) => state.momentum.len() == population,
+            AttackState::Placements(state) => state.s_ema.len() == population * population,
+        };
+        if !attack_aligned {
+            return Err("attack state not aligned with the population".to_string());
+        }
+        // One fictive-embedding slot per target; targets are per-user.
+        if adversary_embs.len() != population {
+            return Err("adversary embeddings not aligned with the population".to_string());
+        }
+        if online.len() != population || straggler_until.len() != population {
+            return Err("dynamics state not aligned with the population".to_string());
         }
         Ok(Checkpoint {
             fingerprint,
@@ -1002,6 +1019,50 @@ mod tests {
         assert!(Checkpoint::decode(&bytes, 0xBAD).unwrap_err().contains("fingerprint"));
         assert!(Checkpoint::decode(&bytes[..10], 0xFEED).is_err());
         assert!(Checkpoint::decode(b"not a checkpoint", 0xFEED).is_err());
+    }
+
+    #[test]
+    fn rejects_tables_not_aligned_with_the_population() {
+        // Each per-participant table one entry short of the population of 2:
+        // restoring would panic on the size assert, so decode must refuse.
+        let short = |edit: &dyn Fn(&mut Checkpoint)| {
+            let mut ck = sample();
+            edit(&mut ck);
+            Checkpoint::decode(&ck.encode(), 0xFEED).unwrap_err()
+        };
+        let momentum = short(&|ck| {
+            let AttackState::Cia(state) = &mut ck.attack else { unreachable!() };
+            state.momentum.pop();
+        });
+        assert!(momentum.contains("attack state"), "{momentum}");
+        let s_ema = short(&|ck| {
+            ck.attack = AttackState::Placements(PlacementsState {
+                s_ema: vec![0.5, f32::NAN, 1.0],
+                history: vec![],
+                prepared: false,
+            });
+        });
+        assert!(s_ema.contains("attack state"), "{s_ema}");
+        let embs = short(&|ck| {
+            ck.adversary_embs.pop();
+        });
+        assert!(embs.contains("adversary embeddings"), "{embs}");
+        let online = short(&|ck| {
+            ck.dynamics.online.pop();
+        });
+        assert!(online.contains("dynamics state"), "{online}");
+        let stragglers = short(&|ck| {
+            ck.dynamics.straggler_until.pop();
+        });
+        assert!(stragglers.contains("dynamics state"), "{stragglers}");
+        // The full-size score table of the same population decodes.
+        let mut ck = sample();
+        ck.attack = AttackState::Placements(PlacementsState {
+            s_ema: vec![0.5, f32::NAN, 1.0, 0.0],
+            history: vec![],
+            prepared: false,
+        });
+        assert!(Checkpoint::decode(&ck.encode(), 0xFEED).is_ok());
     }
 
     #[test]

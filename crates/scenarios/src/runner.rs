@@ -404,22 +404,6 @@ fn run_prme(
 /// per-call setup of the vectorized scoring kernels.
 const EVAL_TILE: usize = 512;
 
-/// Ranks `(score, item)` candidates by descending score with an ascending
-/// item-id tie-break and returns the top `k` item ids — the same
-/// deterministic, NaN-sinking order as every other rank site
-/// ([`cia_core::metrics::rank_desc`], `cia_data::jaccard`). Equal scores
-/// must never leave the cut-off at the mercy of catalog iteration order,
-/// and NaN scores (a DP-destroyed model) rank last instead of panicking.
-/// Built on the `O(k)`-memory streaming [`TopK`] selector, which returns
-/// exactly the full-sort prefix under that order.
-pub fn top_k_by_score(ranked: Vec<(f32, u32)>, k: usize) -> Vec<u32> {
-    let mut sel = TopK::new(k);
-    for (score, item) in ranked {
-        sel.push(score, item);
-    }
-    sel.into_ids()
-}
-
 fn build_dp(spec: &ScenarioSpec, rounds: u64) -> Option<DpMechanism> {
     match spec.defense {
         DefenseKind::Dp { epsilon } => Some(match epsilon {
@@ -689,7 +673,7 @@ impl<S: RelevanceScorer> GlAttack<S> {
 impl<S: RelevanceScorer> GossipObserver for GlAttack<S> {
     fn on_round_start(&mut self, round: u64) {
         match self {
-            GlAttack::Coalition(a) => a.on_round_start(round),
+            GlAttack::Coalition(a) => GossipObserver::on_round_start(a, round),
             GlAttack::All(a) => a.on_round_start(round),
         }
     }
@@ -697,7 +681,7 @@ impl<S: RelevanceScorer> GossipObserver for GlAttack<S> {
     fn on_liveness(&mut self, event: LivenessEvent<'_>) {
         // The dynamics-filtered wake set feeds the engines' online bound.
         match self {
-            GlAttack::Coalition(a) => a.on_liveness(event),
+            GlAttack::Coalition(a) => GossipObserver::on_liveness(a, event),
             GlAttack::All(a) => a.on_liveness(event),
         }
     }
@@ -711,7 +695,7 @@ impl<S: RelevanceScorer> GossipObserver for GlAttack<S> {
 
     fn on_round_end(&mut self, stats: &GossipRoundStats) {
         match self {
-            GlAttack::Coalition(a) => a.on_round_end(stats),
+            GlAttack::Coalition(a) => GossipObserver::on_round_end(a, stats),
             GlAttack::All(a) => a.on_round_end(stats),
         }
     }
@@ -784,14 +768,10 @@ where
     let mut attack = if members.is_empty() {
         GlAttack::All(GlCiaAllPlacements::new(cia, evaluator, n, setup.truth_table()))
     } else {
-        GlAttack::Coalition(GlCiaCoalition::new(
-            cia,
-            evaluator,
-            n,
-            &members,
-            setup.truth_table(),
-            setup.owner_table(),
-        ))
+        let mut coalition =
+            GlCiaCoalition::new(cia, evaluator, n, setup.truth_table(), setup.owner_table());
+        coalition.set_members(&members);
+        GlAttack::Coalition(coalition)
     };
     attack.set_recorder(rec.clone());
     // Adaptive sybil placement: passive traffic observation from the static
@@ -1355,25 +1335,6 @@ mod tests {
             }
         }
         assert!(saw_partial, "churn never took anyone offline");
-    }
-
-    #[test]
-    fn top_k_breaks_score_ties_by_item_id() {
-        // Regression: the F1@20 ranking used to sort with `partial_cmp`
-        // alone, so duplicated scores left the top-k dependent on catalog
-        // iteration order. Ties must break on ascending item id regardless
-        // of input order.
-        let scores = vec![(0.5f32, 9u32), (0.7, 4), (0.5, 2), (0.7, 1), (0.5, 7)];
-        let mut reversed = scores.clone();
-        reversed.reverse();
-        let a = top_k_by_score(scores, 3);
-        let b = top_k_by_score(reversed, 3);
-        assert_eq!(a, vec![1, 4, 2], "descending score, then ascending id");
-        assert_eq!(a, b, "input order leaked into the ranking");
-        // NaN scores (a DP-destroyed model) sink below every finite score
-        // instead of panicking the utility evaluation.
-        let with_nan = vec![(f32::NAN, 0u32), (0.1, 5), (f32::NAN, 3), (0.2, 8)];
-        assert_eq!(top_k_by_score(with_nan, 3), vec![8, 5, 0]);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! evaluator's bit for bit — at paper scale (943 users x 1682 items), on
 //! the snapshots a real scenario run publishes.
 
+use cia_core::metrics::top_k_ids;
 use cia_data::presets::Scale;
 use cia_models::RelevanceScorer;
-use cia_scenarios::runner::{gmf_scorer, run_scenario, run_suite, top_k_by_score, RunOptions};
+use cia_scenarios::runner::{gmf_scorer, run_scenario, run_suite, RunOptions};
 use cia_scenarios::spec::named_suite;
 use cia_scenarios::try_build_setup;
 use cia_serve::{QueryWorkload, ServeEngine, SnapshotHub};
@@ -95,7 +96,7 @@ fn serve_matches_offline_topk_at_paper_scale() {
         scorer.score_items(snap.user_emb(user), snap.agg_of(user), &mut all);
         let offline =
             // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-            top_k_by_score(all.iter().enumerate().map(|(i, &s)| (s, i as u32)).collect(), 20);
+            top_k_ids(all.iter().enumerate().map(|(i, &s)| (s, i as u32)), 20);
         assert_eq!(reply.ids(), offline, "user {user}: served ids diverge from offline");
         for &(score, id) in reply.ranked() {
             assert_eq!(

@@ -370,3 +370,30 @@ fn resume_refuses_a_different_spec() {
     .unwrap_err();
     assert!(err.contains("fingerprint"), "unexpected error: {err}");
 }
+
+#[test]
+fn resume_from_a_truncated_momentum_table_is_an_error() {
+    // A checkpoint whose momentum table is one entry short of the
+    // population must fail the resume with an error, not panic in the
+    // attack's restore.
+    use cia_scenarios::checkpoint::{AttackState, Checkpoint};
+    let suite = builtin_suite(Scale::Smoke, 42);
+    let spec = suite.expanded().unwrap()[0].clone();
+    let dir = TempDir::new("short-momentum");
+    let opts = RunOptions {
+        checkpoint_dir: Some(dir.0.clone()),
+        stop_after_rounds: Some(2),
+        ..RunOptions::default()
+    };
+    run_scenario(&spec, "t", &opts, &mut Vec::new()).unwrap();
+
+    let path = Checkpoint::path_for(&dir.0, &spec.name);
+    let mut ck = Checkpoint::load(&path, spec.fingerprint()).unwrap();
+    let AttackState::Cia(state) = &mut ck.attack else { panic!("expected momentum state") };
+    state.momentum.pop();
+    ck.save(&path).unwrap();
+
+    let err = run_scenario(&spec, "t", &RunOptions { resume: true, ..opts }, &mut Vec::new())
+        .unwrap_err();
+    assert!(err.contains("attack state"), "unexpected error: {err}");
+}

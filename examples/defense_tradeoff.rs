@@ -5,9 +5,8 @@
 //! cargo run --release --example defense_tradeoff
 //! ```
 
-use community_inference::experiments::{
-    run_recsys, DefenseKind, ModelKind, Preset, ProtocolKind, RunSpec, Scale,
-};
+use community_inference::experiments::{DefenseKind, ModelKind, Preset, ProtocolKind, Scale};
+use community_inference::scenarios::{run_quiet, ScenarioSpec};
 
 fn main() {
     println!("MovieLens-like, FL + GMF ({} scale).\n", Scale::Small);
@@ -23,9 +22,9 @@ fn main() {
     ];
     for (label, defense) in cases {
         let mut spec =
-            RunSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Small);
+            ScenarioSpec::new(Preset::MovieLens, ModelKind::Gmf, ProtocolKind::Fl, Scale::Small);
         spec.defense = defense;
-        let r = run_recsys(&spec);
+        let r = run_quiet(&spec);
         println!(
             "{:<28} {:>8.1}% {:>9.3} {:>11.1}x",
             label,

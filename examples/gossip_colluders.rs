@@ -39,14 +39,15 @@ fn run(colluders: usize, beta: f32) -> AttackOutcome {
     let owners: Vec<_> = (0..users as u32).map(|u| Some(UserId::new(u))).collect();
     let members: Vec<u32> = (0..colluders).map(|i| (i * users / colluders) as u32).collect();
     let evaluator = ItemSetEvaluator::new(spec, split.train_sets().to_vec(), false);
+    // The coalition observes only the models delivered to its members.
     let mut attack = GlCiaCoalition::new(
         CiaConfig { k, beta, eval_every: 30, seed: 0 },
         evaluator,
         users,
-        &members,
         truths,
         owners,
     );
+    attack.set_members(&members);
     let mut sim =
         GossipSim::new(clients, GossipConfig { rounds: 300, seed: 11, ..Default::default() });
     sim.run(&mut attack);

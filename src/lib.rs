@@ -80,6 +80,11 @@ pub use cia_models as models;
 pub use cia_scenarios as scenarios;
 
 /// One-stop imports for the common attack workflow.
+///
+/// [`FlCia`](prelude::FlCia) and [`GlCiaCoalition`](prelude::GlCiaCoalition)
+/// name the federated and gossip roles of one engine, [`attack::MomentumCia`].
+/// A gossip coalition is `GlCiaCoalition::new` followed by `set_members`
+/// with the node ids it controls.
 pub mod prelude {
     pub use cia_core::{
         AiaCommunityAttack, AiaConfig, AttackOutcome, CiaConfig, FlCia, GlCiaAllPlacements,
