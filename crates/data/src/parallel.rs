@@ -34,8 +34,9 @@ pub fn par_for_each_mut<T: Send, F>(items: &mut [T], f: F)
 where
     F: Fn(usize, &mut T) + Sync,
 {
-    let threads = num_threads();
-    if items.len() <= 1 || threads <= 1 {
+    // One item never fans out, so it skips the environment read.
+    let threads = if items.len() > 1 { num_threads() } else { 1 };
+    if threads <= 1 {
         for (i, item) in items.iter_mut().enumerate() {
             f(i, item);
         }

@@ -1,10 +1,11 @@
 //! Table VI — impact of the momentum on the colluding setting
 //! (β ∈ {0, 0.5, 0.99}).
 //!
-//! Note (see `EXPERIMENTS.md`): with cleanly-separated synthetic communities
-//! a single model snapshot already ranks near the coverage ceiling, so the
-//! paper's large momentum gain does not reproduce; a moderate β shows a mild
-//! gain while β = 0.99 over-anchors on early, under-trained snapshots.
+//! Note: with cleanly-separated synthetic communities a single model
+//! snapshot already ranks near the coverage ceiling, so the paper's large
+//! momentum gain does not reproduce; a moderate β shows a mild gain while
+//! β = 0.99 over-anchors on early, under-trained snapshots. The paper's gain
+//! comes from real-data noise, which a smoothed momentum averages out.
 
 use crate::tables::{pct, Table};
 use crate::{build_setup, ModelKind, ProtocolKind};

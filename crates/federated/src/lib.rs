@@ -46,7 +46,7 @@ use cia_data::UserId;
 use cia_models::params::weighted_mean;
 use cia_models::{ClientStore, Participant, SharedModel, UpdateTransform};
 use cia_obs::{Counter, Metric, Recorder};
-use cia_runtime::{Ctx, Msg, Node, Scheduler, SLOTS_PER_ROUND};
+use cia_runtime::{Ctx, Msg, Node, NodeId, Scheduler, HUB, SLOTS_PER_ROUND};
 
 // The runtime abstractions this crate's API surfaces (observer liveness
 // events, evented delivery policies).
@@ -500,19 +500,28 @@ impl<P: Participant> FedAvg<P> {
         stats
     }
 
-    /// Runs one round on the event-driven runtime: the server and every
-    /// client become [`cia_runtime::Node`]s exchanging typed
-    /// [`Msg::TrainRequest`]/[`Msg::ModelUpdate`] messages under the
-    /// deterministic virtual-clock scheduler, closed by a scheduled
-    /// [`Msg::GlobalBroadcast`].
+    /// Runs one round on the event-driven runtime: the server (the
+    /// scheduler's hub) and every client (a seat) exchange typed messages
+    /// under the deterministic virtual-clock scheduler:
     ///
-    /// Aggregation rides the participant chain: each `TrainRequest` threads
-    /// the shared sparse accumulator to exactly one in-flight client, which
-    /// folds its update via the fused [`Participant::fed_round`] sink while
-    /// its parameters are cache-hot. Clients train and fold in ascending
-    /// index order, and reordering is impossible by construction (one
-    /// message in flight), so every [`DeliveryPolicy`] produces the same
-    /// bytes.
+    /// * slot 0 — the `RoundStart` timer samples the cohort and sends every
+    ///   sampled client its [`Msg::TrainRequest`] for slot 1;
+    /// * slot 1 — the requests form one batch, so the clients absorb the
+    ///   global, train on their own RNG streams and snapshot (or run the DP
+    ///   transform) in parallel over `CIA_THREADS`, each replying with a
+    ///   [`Msg::ModelUpdate`];
+    /// * slot 2 — the shared sparse accumulator travels a [`Msg::Fold`]
+    ///   chain with one link in flight, in ascending client index order:
+    ///   each client folds `w̃ᵢ · (aggᵢ − global)` over the parameters its
+    ///   training touched;
+    /// * slot 3 — the `RoundEnd` timer observes, aggregates and evaluates,
+    ///   then schedules [`Msg::GlobalBroadcast`].
+    ///
+    /// The batch contract (see the `cia_runtime` crate docs) makes the
+    /// parallel slot deliver exactly what one-at-a-time delivery would, and
+    /// training draws nothing from the fold, so the fold runs the float
+    /// operations of the fused serial round in the same order: every
+    /// thread count and every [`DeliveryPolicy`] produces the same bytes.
     ///
     /// Sharded stores run `step_sharded`, the lazy shared-workspace round
     /// (see [`FedAvg::sharded`]), which is bit-identical to this dense round.
@@ -544,8 +553,7 @@ impl<P: Participant> FedAvg<P> {
             let transform = transform.as_deref();
             let mut sched = Scheduler::new(policy);
             sched.set_recorder(obs.clone());
-            let mut nodes: Vec<FlNode<'_, P>> = Vec::with_capacity(clients.len() + 1);
-            nodes.push(FlNode::Server(ServerRound {
+            let mut server = ServerRound {
                 observer,
                 global: global_agg,
                 acc,
@@ -562,25 +570,27 @@ impl<P: Participant> FedAvg<P> {
                 bytes0,
                 stats: &mut stats_out,
                 publish: &mut publish,
-            }));
-            for (i, client) in clients.iter_mut().enumerate() {
-                nodes.push(FlNode::Client(ClientSeat {
-                    index: i,
+            };
+            let mut seats: Vec<ClientSeat<'_, P>> = clients
+                .iter_mut()
+                .enumerate()
+                .map(|(index, client)| ClientSeat {
+                    index,
                     client,
                     transform,
                     cfg,
                     obs: obs.clone(),
-                }));
-            }
-            sched.timer_at(base, SERVER, Msg::RoundStart { round: t });
-            sched.timer_at(base + 2, SERVER, Msg::RoundEnd { round: t });
-            sched.run_until(base, &mut nodes);
-            // The whole request/update chain lives at slot 1 — one "train"
-            // span covers it.
+                })
+                .collect();
+            sched.timer_at(base, HUB, Msg::RoundStart { round: t });
+            sched.timer_at(base + 3, HUB, Msg::RoundEnd { round: t });
+            sched.run_until(base, &mut server, &mut seats);
+            // Training (slot 1) and the fold chain (slot 2) — one "train"
+            // span covers both, as it covered the fused per-client round.
             let train_span = obs.span("train");
-            sched.run_until(base + 1, &mut nodes);
+            sched.run_until(base + 2, &mut server, &mut seats);
             drop(train_span);
-            sched.run_until(base + 3, &mut nodes);
+            sched.run_until(base + 3, &mut server, &mut seats);
             debug_assert_eq!(sched.pending_len(), 0, "FL rounds drain their queue");
         }
         self.round += 1;
@@ -602,18 +612,8 @@ impl<P: Participant> FedAvg<P> {
     }
 }
 
-/// The server's node address in the FL scheduler (clients sit at `i + 1`).
-const SERVER: cia_runtime::NodeId = 0;
-
-/// One FL participant seat on the scheduler: the aggregation server (node 0)
-/// or a training client (node `index + 1`).
-enum FlNode<'a, P: Participant> {
-    Server(ServerRound<'a>),
-    Client(ClientSeat<'a, P>),
-}
-
 /// The server's per-round working state (borrows the simulation's persistent
-/// buffers so every round reuses the same allocations).
+/// buffers so every round reuses the same allocations); the scheduler's hub.
 struct ServerRound<'a> {
     observer: &'a mut dyn RoundObserver,
     global: &'a mut Vec<f32>,
@@ -625,9 +625,9 @@ struct ServerRound<'a> {
     obs: Recorder,
     dp: bool,
     materialize: bool,
-    /// Sampled client indices in visit (index) order.
+    /// Sampled client indices in fold (index) order.
     chain: Vec<usize>,
-    /// Next chain position to dispatch.
+    /// Next chain position to fold.
     next: usize,
     total: f32,
     global_arc: Arc<Vec<f32>>,
@@ -645,26 +645,24 @@ struct ClientSeat<'a, P: Participant> {
     obs: Recorder,
 }
 
+/// Client `i`'s node address (the server is the hub).
+fn client_node(i: usize) -> NodeId {
+    NodeId::try_from(i + 1).expect("client index fits a node id")
+}
+
 impl ServerRound<'_> {
-    /// Dispatches a `TrainRequest` to the chain's next client, threading the
-    /// accumulator and a recycled snapshot carcass through the message.
-    fn dispatch(&mut self, round: u64, acc: Option<Vec<f32>>, ctx: &mut Ctx<'_>) {
+    /// Sends the accumulator to the chain's next client for its fold.
+    fn fold_next(&mut self, round: u64, acc: Vec<f32>, ctx: &mut Ctx<'_>) {
         let i = self.chain[self.next];
         self.next += 1;
-        let snap = self
-            .materialize
-            .then(|| std::mem::replace(&mut self.slots[i].model, empty_snap_slot()));
-        let weight = if acc.is_some() { self.weights[i] / self.total } else { 0.0 };
         ctx.send_at(
-            ctx.now().max(round * SLOTS_PER_ROUND + 1),
-            (i + 1) as cia_runtime::NodeId,
-            Msg::TrainRequest {
+            ctx.now().max(round * SLOTS_PER_ROUND + 2),
+            client_node(i),
+            Msg::Fold {
                 round,
-                epochs: self.cfg.local_epochs,
+                weight: self.weights[i] / self.total,
                 global: Arc::clone(&self.global_arc),
-                weight,
                 acc,
-                snap,
             },
         );
     }
@@ -695,27 +693,40 @@ impl ServerRound<'_> {
             return; // The already-scheduled RoundEnd closes the round.
         }
         self.global_arc = Arc::new(self.global.clone());
-        let acc = (!self.dp && self.total > 0.0).then(|| std::mem::take(self.acc));
-        self.dispatch(t, acc, ctx);
+        for &i in &self.chain {
+            let snap = self
+                .materialize
+                .then(|| std::mem::replace(&mut self.slots[i].model, empty_snap_slot()));
+            ctx.send_at(
+                t * SLOTS_PER_ROUND + 1,
+                client_node(i),
+                Msg::TrainRequest {
+                    round: t,
+                    epochs: self.cfg.local_epochs,
+                    global: Arc::clone(&self.global_arc),
+                    snap,
+                },
+            );
+        }
+        // Weights are at least 1, so a non-empty chain has `total > 0`.
+        if !self.dp {
+            let acc = std::mem::take(self.acc);
+            self.fold_next(t, acc, ctx);
+        }
     }
 
-    fn on_update(
-        &mut self,
-        round: u64,
-        client: u32,
-        loss: f32,
-        acc: Option<Vec<f32>>,
-        snap: Option<SharedModel>,
-        ctx: &mut Ctx<'_>,
-    ) {
+    fn on_update(&mut self, client: u32, loss: f32, snap: Option<SharedModel>) {
         let slot = &mut self.slots[client as usize];
         slot.loss = loss;
         if let Some(snap) = snap {
             slot.model = snap;
         }
+    }
+
+    fn on_fold(&mut self, round: u64, acc: Vec<f32>, ctx: &mut Ctx<'_>) {
         if self.next < self.chain.len() {
-            self.dispatch(round, acc, ctx);
-        } else if let Some(acc) = acc {
+            self.fold_next(round, acc, ctx);
+        } else {
             *self.acc = acc;
         }
     }
@@ -778,20 +789,18 @@ impl ServerRound<'_> {
         self.observer.on_round_end(&stats);
         drop(evaluate_span);
         *self.stats = Some(stats);
-        ctx.send(SERVER, Msg::GlobalBroadcast { round: t });
+        ctx.send(HUB, Msg::GlobalBroadcast { round: t });
     }
 }
 
 impl<P: Participant> ClientSeat<'_, P> {
-    /// One client's round: local training on its own RNG stream, then
-    /// either the DP transform on a fresh snapshot (the transform needs the
-    /// pre-round embedding) or the fused sparse-accumulator fold.
+    /// One client's training: absorb the global, train on the client's own
+    /// RNG stream, then fill the snapshot carcass and — under DP — apply
+    /// the transform to it (the transform needs the pre-round embedding).
     fn train(
         &mut self,
         round: u64,
         global: &[f32],
-        weight: f32,
-        mut acc: Option<Vec<f32>>,
         mut snap: Option<SharedModel>,
         ctx: &mut Ctx<'_>,
     ) {
@@ -799,53 +808,48 @@ impl<P: Participant> ClientSeat<'_, P> {
         let i = self.index;
         let t0 = self.obs.clock();
         let mut crng = client_rng(&cfg, round, i);
-        let mut loss;
-        if let Some(tr) = self.transform {
-            self.client.absorb_agg(global);
-            let emb_before: Option<Vec<f32>> = self.client.owner_emb().map(<[f32]>::to_vec);
-            loss = 0.0;
-            for _ in 0..cfg.local_epochs.max(1) {
-                loss = self.client.train_local(&mut crng);
-            }
-            let snap = snap.as_mut().expect("DP rounds always materialize");
+        self.client.absorb_agg(global);
+        let emb_before: Option<Vec<f32>> =
+            self.transform.and_then(|_| self.client.owner_emb().map(<[f32]>::to_vec));
+        let mut loss = 0.0;
+        for _ in 0..cfg.local_epochs.max(1) {
+            loss = self.client.train_local(&mut crng);
+        }
+        debug_assert!(self.transform.is_none() || snap.is_some(), "DP rounds always materialize");
+        if let Some(snap) = &mut snap {
             self.client.snapshot_into(round, snap);
-            apply_update_transform(tr, snap, global, emb_before.as_deref(), &mut crng);
-        } else {
-            let sink = acc.as_mut().map(|a| (weight, a.as_mut_slice()));
-            loss = self.client.fed_round(global, cfg.local_epochs, &mut crng, sink);
-            if let Some(snap) = &mut snap {
-                self.client.snapshot_into(round, snap);
+            if let Some(tr) = self.transform {
+                apply_update_transform(tr, snap, global, emb_before.as_deref(), &mut crng);
             }
         }
         self.obs.observe_since(Metric::TrainMicros, t0);
         // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-        ctx.send(SERVER, Msg::ModelUpdate { round, client: i as u32, loss, acc, snap });
+        ctx.send(HUB, Msg::ModelUpdate { round, client: i as u32, loss, snap });
     }
 }
 
-impl<P: Participant> Node for FlNode<'_, P> {
+impl Node for ServerRound<'_> {
     fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-        match (self, msg) {
-            (FlNode::Client(seat), Msg::TrainRequest { round, global, weight, acc, snap, .. }) => {
-                seat.train(round, &global, weight, acc, snap, ctx);
-            }
-            (FlNode::Server(srv), Msg::ModelUpdate { round, client, loss, acc, snap }) => {
-                srv.on_update(round, client, loss, acc, snap, ctx);
-            }
-            (FlNode::Server(srv), Msg::GlobalBroadcast { .. }) => *srv.publish = true,
-            (node, msg) => unreachable!(
-                "misrouted FL message {} to {}",
-                msg.label(),
-                if matches!(node, FlNode::Server(_)) { "server" } else { "client" }
-            ),
+        match msg {
+            Msg::ModelUpdate { client, loss, snap, .. } => self.on_update(client, loss, snap),
+            Msg::Fold { round, acc, .. } => self.on_fold(round, acc, ctx),
+            Msg::GlobalBroadcast { .. } => *self.publish = true,
+            Msg::RoundStart { round } => self.round_start(round, ctx),
+            Msg::RoundEnd { round } => self.round_end(round, ctx),
+            other => unreachable!("{} is not addressed to the FL server", other.label()),
         }
     }
+}
 
-    fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-        match (self, msg) {
-            (FlNode::Server(srv), Msg::RoundStart { round }) => srv.round_start(round, ctx),
-            (FlNode::Server(srv), Msg::RoundEnd { round }) => srv.round_end(round, ctx),
-            (_, msg) => unreachable!("misrouted FL timer {}", msg.label()),
+impl<P: Participant> Node for ClientSeat<'_, P> {
+    fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
+        match msg {
+            Msg::TrainRequest { round, global, snap, .. } => self.train(round, &global, snap, ctx),
+            Msg::Fold { round, weight, global, mut acc } => {
+                self.client.accumulate_update(&global, weight, &mut acc);
+                ctx.send(HUB, Msg::Fold { round, weight, global, acc });
+            }
+            other => unreachable!("{} is not addressed to an FL client", other.label()),
         }
     }
 }
@@ -1329,15 +1333,24 @@ mod tests {
                 "one {phase} span per round"
             );
         }
-        // The per-message trace: every train request and model update gets
-        // its own span slice nested under the round's train phase.
+        // The per-message trace: one span per dispatched batch, nested under
+        // the round's train phase on the driving thread — the clients of a
+        // batch train on workers, which open no spans.
         for msg in ["msg:train_request", "msg:model_update"] {
             assert_eq!(
                 chunk.spans.iter().filter(|s| s.name == msg).count(),
-                20,
-                "one {msg} span per sampled client per round"
+                2,
+                "one {msg} batch span per round"
             );
         }
+        // The fold chain keeps one link in flight: a batch per hop.
+        let folds = chunk.spans.iter().filter(|s| s.name == "msg:fold").count();
+        assert_eq!(folds, 2 * 20, "one msg:fold batch span per hop");
+        let driving = chunk.spans.iter().find(|s| s.name == "train").expect("train span").tid;
+        assert!(
+            chunk.spans.iter().all(|s| s.tid == driving),
+            "a span was opened off the driving thread"
+        );
     }
 
     #[test]
@@ -1394,9 +1407,9 @@ mod tests {
 
     #[test]
     fn interleaving_seeds_cannot_change_fl_bytes() {
-        // The request/update chain keeps exactly one message in flight, so
-        // any interleaving seed degenerates to the FIFO order — under
-        // partial participation, weighting by examples and DP alike.
+        // Updates land in per-client slots and the fold chain keeps one
+        // link in flight, so any interleaving seed replays the FIFO bytes —
+        // under partial participation, weighting by examples and DP alike.
         let partial = || {
             let mut sim = make_sim(9, 2, SharingPolicy::Full);
             sim.cfg.participation = 0.6;

@@ -5,7 +5,7 @@ use cia_data::UserId;
 use cia_models::{ClientStore, Participant, SharedModel, UpdateTransform};
 use cia_obs::{Counter, Metric, Recorder};
 use cia_runtime::{
-    Checkpointable, Ctx, DeliveryPolicy, LivenessEvent, Msg, Node, SavedEvent, Scheduler,
+    Checkpointable, Ctx, DeliveryPolicy, LivenessEvent, Msg, Node, SavedEvent, Scheduler, HUB,
     SLOTS_PER_ROUND,
 };
 use rand::rngs::StdRng;
@@ -359,18 +359,28 @@ impl<P: Participant> GossipSim<P> {
         }
     }
 
-    /// Runs one round on the event-driven runtime: a coordinator seat (node
-    /// 0) owns the graph and the round timeline, every gossip node becomes a
-    /// peer seat (node `i + 1`), and the round unfolds as typed messages —
+    /// Runs one round on the event-driven runtime: the coordinator (the
+    /// scheduler's hub, node 0) owns the graph, the observer and the round
+    /// timeline, every gossip node becomes a peer seat (node `i + 1`), and
+    /// the round unfolds as typed messages —
     /// [`Msg::RefreshTimer`]/[`Msg::ViewPush`] for view management,
     /// [`Msg::WakeSend`]/[`Msg::ModelPush`] for the push path,
     /// [`Msg::MixTrain`]/[`Msg::TrainReport`] for mixing and training —
     /// under the deterministic virtual-clock scheduler.
     ///
-    /// Every [`DeliveryPolicy`] produces the same bytes: every reorderable
-    /// mailbox is sorted on a canonical key before any float is touched
-    /// (routing by ascending sender, inboxes by `(round, owner)`, train
-    /// reports by node), so interleaving seeds cannot change the RNG
+    /// Per-node work runs in parallel over `CIA_THREADS`: the slot-1
+    /// `WakeSend` batch (snapshot plus the DP transform, on the node's own
+    /// RNG stream) and the slot-3 `MixTrain` batch (`evaluate_model`,
+    /// `mix_agg`, `train_local`) each fan out across the awake peers.
+    /// Routing, `on_delivery` and the round end stay on the coordinator, in
+    /// canonical order. The batch contract (see the `cia_runtime` crate
+    /// docs) makes a parallel batch deliver exactly what one-at-a-time
+    /// delivery would, so the thread count cannot change a byte.
+    ///
+    /// Every [`DeliveryPolicy`] produces the same bytes too: every
+    /// reorderable mailbox is sorted on a canonical key before any float is
+    /// touched (routing by ascending sender, inboxes by `(round, owner)`,
+    /// train reports by node), so interleaving seeds cannot change the RNG
     /// streams, the float operations or the observer callback order.
     ///
     /// View-refresh timers are the events that legitimately cross rounds:
@@ -416,17 +426,16 @@ impl<P: Participant> GossipSim<P> {
                 // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
                 for u in 0..n as u32 {
                     let at = refresh_at[u as usize].max(t) * SLOTS_PER_ROUND;
-                    sched.timer_at(at, COORD, Msg::RefreshTimer { node: u });
+                    sched.timer_at(at, HUB, Msg::RefreshTimer { node: u });
                 }
             } else {
                 sched.install_pending(std::mem::take(pending));
             }
-            sched.timer_at(base, COORD, Msg::RoundStart { round: t });
-            sched.timer_at(base + 2, COORD, Msg::RouteFlush { round: t });
-            sched.timer_at(base + 4, COORD, Msg::RoundEnd { round: t });
+            sched.timer_at(base, HUB, Msg::RoundStart { round: t });
+            sched.timer_at(base + 2, HUB, Msg::RouteFlush { round: t });
+            sched.timer_at(base + 4, HUB, Msg::RoundEnd { round: t });
 
-            let mut seats: Vec<GlNode<'_, P>> = Vec::with_capacity(n + 1);
-            seats.push(GlNode::Coordinator(CoordRound {
+            let mut coord = CoordRound {
                 observer,
                 views,
                 refresh_at,
@@ -442,37 +451,40 @@ impl<P: Participant> GossipSim<P> {
                 bytes0,
                 stats: &mut stats_out,
                 publish: &mut publish,
-            }));
-            for (i, (node, c)) in nodes.iter_mut().zip(ctl.iter_mut()).enumerate() {
-                seats.push(GlNode::Peer(PeerSeat {
-                    index: i,
+            };
+            let mut seats: Vec<PeerSeat<'_, P>> = nodes
+                .iter_mut()
+                .zip(ctl.iter_mut())
+                .enumerate()
+                .map(|(index, (node, ctl))| PeerSeat {
+                    index,
                     node,
-                    ctl: c,
+                    ctl,
                     transform,
                     cfg,
                     obs: obs.clone(),
-                }));
-            }
+                })
+                .collect();
 
             // Slot 0: due refresh timers, then the round opening (refresh +
             // sample phases in its handler).
-            sched.run_until(base, &mut seats);
+            sched.run_until(base, &mut coord, &mut seats);
             // Slot 1: view pushes + wake sends (peers snapshot and apply DP).
             let send_span = obs.span("send");
-            sched.run_until(base + 1, &mut seats);
+            sched.run_until(base + 1, &mut coord, &mut seats);
             drop(send_span);
             // Slot 2: model pushes buffer at the coordinator; the route-flush
             // timer then routes them in canonical sender order.
             let route_span = obs.span("route");
-            sched.run_until(base + 2, &mut seats);
+            sched.run_until(base + 2, &mut coord, &mut seats);
             drop(route_span);
             // Slot 3: routed models land in peer inboxes, then every awake
             // peer's mix+train timer fires.
             let train_span = obs.span("train");
-            sched.run_until(base + 3, &mut seats);
+            sched.run_until(base + 3, &mut coord, &mut seats);
             drop(train_span);
             // Slots 4–5: train reports, round closing, broadcast.
-            sched.run_until(base + 5, &mut seats);
+            sched.run_until(base + 5, &mut coord, &mut seats);
             *pending = sched.drain_pending();
         }
         self.round += 1;
@@ -536,10 +548,6 @@ impl<P: Participant> Checkpointable for GossipSim<P> {
     }
 }
 
-/// The coordinator's node address in the gossip scheduler (peers sit at
-/// `i + 1`).
-const COORD: cia_runtime::NodeId = 0;
-
 /// Availability probe through the unified liveness hook.
 fn probe_available(observer: &mut dyn GossipObserver, round: u64, node: u32) -> bool {
     let mut available = true;
@@ -547,19 +555,11 @@ fn probe_available(observer: &mut dyn GossipObserver, round: u64, node: u32) -> 
     available
 }
 
-/// One gossip seat on the scheduler: the coordinator (node 0, owning graph,
-/// routing and round control) or a peer (node `i + 1`, owning exactly its
-/// participant state and [`PeerCtl`]).
-enum GlNode<'a, P: Participant> {
-    Coordinator(CoordRound<'a>),
-    Peer(PeerSeat<'a, P>),
-}
-
 /// One buffered `TrainReport`: `(node, loss, heard)`.
 type TrainReportRow = (u32, f32, Vec<(u32, f32)>);
 
 /// The coordinator's per-round working state (borrows the simulation's
-/// persistent tables).
+/// persistent tables); the scheduler's hub.
 struct CoordRound<'a> {
     observer: &'a mut dyn GossipObserver,
     views: &'a mut ViewTable,
@@ -626,7 +626,7 @@ impl CoordRound<'_> {
                     t + sample_exp_interval(cfg.view_refresh_rate, &mut rng);
                 ctx.timer_at(
                     self.refresh_at[u as usize] * SLOTS_PER_ROUND,
-                    COORD,
+                    HUB,
                     Msg::RefreshTimer { node: u },
                 );
                 ctx.send_at(
@@ -637,7 +637,7 @@ impl CoordRound<'_> {
             } else {
                 // Deferred: `refresh_at` stays in the past; re-probe next
                 // round (the node's first available round acts on it).
-                ctx.timer_at((t + 1) * SLOTS_PER_ROUND, COORD, Msg::RefreshTimer { node: u });
+                ctx.timer_at((t + 1) * SLOTS_PER_ROUND, HUB, Msg::RefreshTimer { node: u });
             }
         }
         self.due.clear();
@@ -726,7 +726,7 @@ impl CoordRound<'_> {
         self.observer.on_round_end(&stats);
         drop(evaluate_span);
         *self.stats = Some(stats);
-        ctx.send(COORD, Msg::GlobalBroadcast { round: t });
+        ctx.send(HUB, Msg::GlobalBroadcast { round: t });
     }
 }
 
@@ -751,7 +751,7 @@ impl<P: Participant> PeerSeat<'_, P> {
         }
         ctx.send_at(
             ctx.now() + 1,
-            COORD,
+            HUB,
             // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
             Msg::ModelPush { round: t, sender: i as u32, dest, model: snap },
         );
@@ -792,7 +792,7 @@ impl<P: Participant> PeerSeat<'_, P> {
         self.ctl.stash.truncate(2);
         ctx.send_at(
             ctx.now() + 1,
-            COORD,
+            HUB,
             Msg::TrainReport {
                 round: t,
                 // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
@@ -804,35 +804,29 @@ impl<P: Participant> PeerSeat<'_, P> {
     }
 }
 
-impl<P: Participant> Node for GlNode<'_, P> {
+impl Node for CoordRound<'_> {
     fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-        match (self, msg) {
-            (GlNode::Peer(seat), Msg::ViewPush { view, .. }) => seat.ctl.view = view,
-            (GlNode::Peer(seat), Msg::WakeSend { round, dest, .. }) => {
-                seat.wake_send(round, dest, ctx);
-            }
-            (GlNode::Peer(seat), Msg::ModelPush { model, .. }) => seat.ctl.inbox.push(model),
-            (GlNode::Coordinator(co), Msg::ModelPush { sender, dest, model, .. }) => {
-                co.buffer.push((sender, dest, model));
-            }
-            (GlNode::Coordinator(co), Msg::TrainReport { node, loss, heard, .. }) => {
-                co.reports.push((node, loss, heard));
-            }
-            (GlNode::Coordinator(co), Msg::GlobalBroadcast { .. }) => *co.publish = true,
-            (_, msg) => unreachable!("misrouted gossip message {}", msg.label()),
+        match msg {
+            Msg::ModelPush { sender, dest, model, .. } => self.buffer.push((sender, dest, model)),
+            Msg::TrainReport { node, loss, heard, .. } => self.reports.push((node, loss, heard)),
+            Msg::GlobalBroadcast { .. } => *self.publish = true,
+            Msg::RefreshTimer { node } => self.due.push(node),
+            Msg::RoundStart { round } => self.round_start(round, ctx),
+            Msg::RouteFlush { round } => self.route(round, ctx),
+            Msg::RoundEnd { round } => self.round_end(round, ctx),
+            other => unreachable!("{} is not addressed to the gossip coordinator", other.label()),
         }
     }
+}
 
-    fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-        match (self, msg) {
-            (GlNode::Coordinator(co), Msg::RefreshTimer { node }) => co.due.push(node),
-            (GlNode::Coordinator(co), Msg::RoundStart { round }) => co.round_start(round, ctx),
-            (GlNode::Coordinator(co), Msg::RouteFlush { round }) => co.route(round, ctx),
-            (GlNode::Coordinator(co), Msg::RoundEnd { round }) => co.round_end(round, ctx),
-            (GlNode::Peer(seat), Msg::MixTrain { round, epochs }) => {
-                seat.mix_train(round, epochs, ctx);
-            }
-            (_, msg) => unreachable!("misrouted gossip timer {}", msg.label()),
+impl<P: Participant> Node for PeerSeat<'_, P> {
+    fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
+        match msg {
+            Msg::ViewPush { view, .. } => self.ctl.view = view,
+            Msg::WakeSend { round, dest, .. } => self.wake_send(round, dest, ctx),
+            Msg::ModelPush { model, .. } => self.ctl.inbox.push(model),
+            Msg::MixTrain { round, epochs } => self.mix_train(round, epochs, ctx),
+            other => unreachable!("{} is not addressed to a gossip peer", other.label()),
         }
     }
 }
@@ -1206,9 +1200,15 @@ mod tests {
                 "one {phase} span per round"
             );
         }
-        // Per-message trace slices exist for the protocol messages.
+        // One trace slice per dispatched message batch, all on the driving
+        // thread: the peers of a batch run on workers, which open no spans.
         let wake_sends = chunk.spans.iter().filter(|s| s.name == "msg:wake_send").count();
-        assert_eq!(wake_sends, (rounds * 20) as usize);
+        assert_eq!(wake_sends, rounds as usize, "one wake-send batch per round");
+        let driving = chunk.spans.iter().find(|s| s.name == "train").expect("train span").tid;
+        assert!(
+            chunk.spans.iter().all(|s| s.tid == driving),
+            "a span was opened off the driving thread"
+        );
     }
 
     #[test]

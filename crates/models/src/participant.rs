@@ -118,9 +118,9 @@ pub trait Participant: Send + Sync {
     /// into it as [`Participant::accumulate_update`] would. Returns the last
     /// epoch's mean loss. The RNG usage matches the unfused
     /// absorb/train/accumulate sequence exactly, so both produce identical
-    /// parameters; the fusion exists so the single-thread FedAvg path can
-    /// accumulate each client's sparse update while its parameters are still
-    /// cache-hot.
+    /// parameters; the fusion exists so the sharded FedAvg round (through
+    /// [`Participant::fed_round_shared`]) can accumulate each client's sparse
+    /// update while its parameters are still cache-hot.
     fn fed_round(
         &mut self,
         global: &[f32],

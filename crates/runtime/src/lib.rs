@@ -20,6 +20,33 @@
 //!   the property the protocol crates and `cia-scenarios` pin with
 //!   proptest.
 //!
+//! # Batch dispatch
+//!
+//! A scheduler drives one *hub* (node [`HUB`]: the FedAvg server or the
+//! gossip coordinator, which owns the adversary's observer) and a slice of
+//! *seats* (node `i + 1` is seat `i`: a client or a gossip peer). It pops
+//! every queued event that shares the head's virtual time, lane and message
+//! kind — one *batch* — and delivers it as follows:
+//!
+//! * the hub's events run on the calling thread, in delivery order;
+//! * the seats' events are grouped by destination, FIFO within a seat, and
+//!   the groups fan out over `cia_data::parallel` workers (`CIA_THREADS`;
+//!   at `1`, or with a single seat, the same code runs inline);
+//! * handlers write into their own outbox ([`Ctx`]); after the batch the
+//!   outboxes are queued by the emitting event's batch position, then by
+//!   emission order. These are exactly the sequence numbers one-at-a-time
+//!   delivery would assign, so the Lockstep delivery order — and every byte
+//!   downstream of it — does not depend on the thread count.
+//!
+//! The contract a handler relies on: a message sent for the current virtual
+//! time is delivered after the batch that sent it, and seats in one batch
+//! never see each other's effects. That holds for one-at-a-time delivery
+//! too, with one exception the scheduler rejects with a panic: a timer
+//! handler, other than the batch's last, that emits a message for the
+//! current time (serial delivery would hand that message over before the
+//! remaining timers of the batch). The trace records one `msg:<label>` span
+//! per message-lane batch, on the calling thread; workers open none.
+//!
 //! The crate also hosts the two cross-protocol abstractions the runtime
 //! unified: [`LivenessEvent`] (the single observer event enum replacing the
 //! `on_participants` / `on_wake_set` / `node_available` hook zoo) and
@@ -41,8 +68,8 @@ use std::sync::Arc;
 /// `crates/scenarios/README.md` for both timelines).
 pub const SLOTS_PER_ROUND: u64 = 8;
 
-/// A node address inside one scheduler (an index into the node slice handed
-/// to [`Scheduler::run_until`]).
+/// A node address inside one scheduler: [`HUB`] for the hub handed to
+/// [`Scheduler::run_until`], `i + 1` for seat `i`.
 pub type NodeId = u32;
 
 /// Typed protocol messages. One enum covers both protocols so a single
@@ -52,11 +79,10 @@ pub type NodeId = u32;
 pub enum Msg {
     // --- Federated learning (server ⇄ client) ---
     /// Server → client: train this round on the broadcast global model.
-    /// Aggregation rides along: `acc` threads the shared sparse-update
-    /// accumulator through the participant chain (each client folds
-    /// `weight · (own − global)` into it while its parameters are cache-hot),
-    /// and `snap` carries a recycled snapshot carcass when the round
-    /// materializes client models for the observer or a DP transform.
+    /// Every sampled client gets its request in the same slot, so the
+    /// clients train in one parallel batch; `snap` carries a recycled
+    /// snapshot carcass when the round materializes client models for the
+    /// observer or a DP transform.
     TrainRequest {
         /// Round index.
         round: u64,
@@ -64,15 +90,10 @@ pub enum Msg {
         epochs: usize,
         /// The broadcast global model (shared, read-only).
         global: Arc<Vec<f32>>,
-        /// This client's normalized aggregation weight (`wᵢ / Σw`).
-        weight: f32,
-        /// The threaded sparse-update accumulator (`None` on the DP path,
-        /// which aggregates dense transformed snapshots instead).
-        acc: Option<Vec<f32>>,
         /// Snapshot carcass to fill when the round materializes models.
         snap: Option<SharedModel>,
     },
-    /// Client → server: the trained reply closing one link of the chain.
+    /// Client → server: the trained reply.
     ModelUpdate {
         /// Round index.
         round: u64,
@@ -80,10 +101,24 @@ pub enum Msg {
         client: u32,
         /// Final local training loss.
         loss: f32,
-        /// The accumulator handed back (with this client's update folded in).
-        acc: Option<Vec<f32>>,
         /// The materialized snapshot, when requested.
         snap: Option<SharedModel>,
+    },
+    /// One link of the aggregation chain, with exactly one link in flight.
+    /// Server → client: fold `weight · (own − global)` into `acc` (the
+    /// client's sparse update, [`cia_models::Participant::accumulate_update`]).
+    /// Client → server: the same message handed back with `acc` folded, so
+    /// the server can pass the accumulator to the next client in ascending
+    /// index order.
+    Fold {
+        /// Round index.
+        round: u64,
+        /// The client's normalized aggregation weight (`wᵢ / Σw`).
+        weight: f32,
+        /// The round's broadcast global model: the fold's reference.
+        global: Arc<Vec<f32>>,
+        /// The shared sparse-update accumulator.
+        acc: Vec<f32>,
     },
     /// The post-aggregation broadcast of the new global model — the hook
     /// where snapshot publication to `cia-serve` is scheduled as an event
@@ -181,6 +216,7 @@ impl Msg {
         match self {
             Msg::TrainRequest { .. } => "msg:train_request",
             Msg::ModelUpdate { .. } => "msg:model_update",
+            Msg::Fold { .. } => "msg:fold",
             Msg::GlobalBroadcast { .. } => "msg:global_broadcast",
             Msg::ViewPush { .. } => "msg:view_push",
             Msg::ModelPush { .. } => "msg:model_push",
@@ -289,7 +325,9 @@ pub struct SavedEvent {
 }
 
 /// The deterministic virtual-clock scheduler: a priority queue of events
-/// drained in `(time, lane, order, seq)` order against a slice of nodes.
+/// drained in `(time, lane, order, seq)` order, one *batch* at a time,
+/// against a hub node and a slice of seat nodes (see the crate docs for the
+/// batch contract).
 #[derive(Debug, Default)]
 pub struct Scheduler {
     queue: BinaryHeap<Reverse<Event>>,
@@ -306,7 +344,8 @@ impl Scheduler {
     }
 
     /// Installs the trace sink: when detail is enabled, every message-lane
-    /// delivery slice is bracketed by a span named [`Msg::label`].
+    /// batch is bracketed by one span named [`Msg::label`], opened on the
+    /// driving thread.
     pub fn set_recorder(&mut self, obs: Recorder) {
         self.obs = obs;
     }
@@ -321,19 +360,15 @@ impl Scheduler {
         self.queue.len()
     }
 
-    fn order_key(&self, lane: Lane, at: u64, seq: u64) -> u64 {
-        match (self.policy, lane) {
+    fn push(&mut self, at: u64, lane: Lane, dst: NodeId, msg: Msg) {
+        let seq = self.seq;
+        self.seq += 1;
+        let order = match (self.policy, lane) {
             (DeliveryPolicy::Interleaved { seed }, Lane::Message) => {
                 mix64(seed ^ at.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seq)
             }
             _ => 0,
-        }
-    }
-
-    fn push(&mut self, at: u64, lane: Lane, dst: NodeId, msg: Msg) {
-        let seq = self.seq;
-        self.seq += 1;
-        let order = self.order_key(lane, at, seq);
+        };
         self.queue.push(Reverse(Event { at, lane, order, seq, dst, msg }));
     }
 
@@ -348,31 +383,51 @@ impl Scheduler {
     }
 
     /// Delivers every event with `at <= until` (including events enqueued
-    /// while draining), advancing the virtual clock.
+    /// while draining), advancing the virtual clock. Node [`HUB`] is `hub`;
+    /// node `i + 1` is `seats[i]`.
+    ///
+    /// Events are dispatched in batches: every queued event of one virtual
+    /// time, lane and message kind ([`Msg::label`]), in delivery order. The
+    /// hub's events run on the calling thread; the seats' events are grouped
+    /// by destination (FIFO within a seat) and the groups fan out over
+    /// `cia_data::parallel` workers. Everything the handlers emit is queued
+    /// after the batch, by the batch position of the event that emitted it,
+    /// then by emission order — exactly the sequence numbers one-at-a-time
+    /// delivery assigns, so the [`DeliveryPolicy::Lockstep`] delivery order
+    /// is the serial one for any `CIA_THREADS`.
     ///
     /// # Panics
     ///
-    /// Panics if an event addresses a node outside `nodes`.
-    pub fn run_until<N: Node>(&mut self, until: u64, nodes: &mut [N]) {
-        while let Some(Reverse(ev)) = self.queue.peek().filter(|Reverse(e)| e.at <= until) {
-            debug_assert!(ev.at >= self.now, "virtual time must be monotone");
-            let Reverse(ev) = self.queue.pop().expect("peeked");
-            self.now = ev.at;
-            let node = &mut nodes[ev.dst as usize];
-            let mut ctx = Ctx {
-                queue: &mut self.queue,
-                seq: &mut self.seq,
-                policy: self.policy,
-                now: ev.at,
-                me: ev.dst,
-            };
-            match ev.lane {
-                Lane::Message => {
-                    let span = self.obs.span(ev.msg.label());
-                    node.on_message(ev.msg, &mut ctx);
-                    drop(span);
+    /// Panics if an event addresses a node outside `hub` and `seats`, or if
+    /// a timer handler other than the batch's last emits a message for the
+    /// current virtual time (one-at-a-time delivery would have delivered it
+    /// before the batch's remaining timers).
+    pub fn run_until<H: Node, S: Node + Send>(&mut self, until: u64, hub: &mut H, seats: &mut [S]) {
+        while let Some(Reverse(head)) = self.queue.peek().filter(|Reverse(e)| e.at <= until) {
+            debug_assert!(head.at >= self.now, "virtual time must be monotone");
+            let (at, lane, label) = (head.at, head.lane, head.msg.label());
+            self.now = at;
+            let mut batch = Vec::new();
+            while let Some(Reverse(e)) = self.queue.peek() {
+                if (e.at, e.lane, e.msg.label()) != (at, lane, label) {
+                    break;
                 }
-                Lane::Timer => node.on_timer(ev.msg, &mut ctx),
+                let Reverse(e) = self.queue.pop().expect("peeked");
+                batch.push((e.dst, e.msg));
+            }
+            let last = batch.len() - 1;
+            let outboxes = {
+                let _span = (lane == Lane::Message).then(|| self.obs.span(label));
+                dispatch(lane, at, batch, hub, seats)
+            };
+            for (pos, out) in outboxes.into_iter().enumerate() {
+                for o in out {
+                    assert!(
+                        lane == Lane::Message || pos == last || o.at > at || o.lane == Lane::Timer,
+                        "a timer batch emitted a same-time message before its last timer ({label})"
+                    );
+                    self.push(o.at, o.lane, o.dst, o.msg);
+                }
             }
         }
         self.now = self.now.max(until);
@@ -404,11 +459,94 @@ impl Scheduler {
     }
 }
 
+/// The hub's node address: the node handed to [`Scheduler::run_until`] as
+/// `hub` (seat `i` is node `i + 1`).
+pub const HUB: NodeId = 0;
+
+/// An event a handler emitted, queued once its batch completes.
+#[derive(Debug)]
+struct Outgoing {
+    at: u64,
+    lane: Lane,
+    dst: NodeId,
+    msg: Msg,
+}
+
+/// One seat's share of a batch: its events in FIFO order, each with the
+/// batch position it came from, and the outboxes the handlers filled.
+struct SeatGroup<'a, S> {
+    me: NodeId,
+    seat: &'a mut S,
+    events: Vec<(usize, Msg)>,
+    outs: Vec<(usize, Vec<Outgoing>)>,
+}
+
+fn deliver<N: Node>(node: &mut N, lane: Lane, msg: Msg, ctx: &mut Ctx<'_>) {
+    match lane {
+        Lane::Message => node.on_message(msg, ctx),
+        Lane::Timer => node.on_timer(msg, ctx),
+    }
+}
+
+/// Runs one batch and returns each event's outbox, indexed by batch
+/// position.
+fn dispatch<H: Node, S: Node + Send>(
+    lane: Lane,
+    now: u64,
+    batch: Vec<(NodeId, Msg)>,
+    hub: &mut H,
+    seats: &mut [S],
+) -> Vec<Vec<Outgoing>> {
+    let mut outboxes: Vec<Vec<Outgoing>> = (0..batch.len()).map(|_| Vec::new()).collect();
+    let mut seat_events = Vec::new();
+    for (pos, (dst, msg)) in batch.into_iter().enumerate() {
+        if dst == HUB {
+            deliver(hub, lane, msg, &mut Ctx { out: &mut outboxes[pos], now, me: HUB });
+        } else {
+            assert!(
+                dst as usize <= seats.len(),
+                "event addressed to node {dst}, outside the hub and {} seats",
+                seats.len()
+            );
+            seat_events.push((dst, pos, msg));
+        }
+    }
+    // A stable sort keeps each seat's events in batch (FIFO) order.
+    seat_events.sort_by_key(|&(dst, ..)| dst);
+    let mut groups: Vec<SeatGroup<'_, S>> = Vec::new();
+    let mut rest = seats;
+    let mut first = 1;
+    for (dst, pos, msg) in seat_events {
+        if groups.last().is_some_and(|g| g.me == dst) {
+            groups.last_mut().expect("checked").events.push((pos, msg));
+            continue;
+        }
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut((dst - first) as usize + 1);
+        let seat = head.last_mut().expect("split keeps the destination");
+        groups.push(SeatGroup { me: dst, seat, events: vec![(pos, msg)], outs: Vec::new() });
+        rest = tail;
+        first = dst + 1;
+    }
+    cia_data::parallel::par_for_each_mut(&mut groups, |_, g| {
+        for (pos, msg) in std::mem::take(&mut g.events) {
+            let mut out = Vec::new();
+            deliver(g.seat, lane, msg, &mut Ctx { out: &mut out, now, me: g.me });
+            g.outs.push((pos, out));
+        }
+    });
+    for g in groups {
+        for (pos, out) in g.outs {
+            outboxes[pos] = out;
+        }
+    }
+    outboxes
+}
+
 /// The per-delivery context a [`Node`] handler sends and schedules through.
+/// Emissions land in the handler's own outbox and are queued when the batch
+/// completes (see [`Scheduler::run_until`]).
 pub struct Ctx<'a> {
-    queue: &'a mut BinaryHeap<Reverse<Event>>,
-    seq: &'a mut u64,
-    policy: DeliveryPolicy,
+    out: &'a mut Vec<Outgoing>,
     now: u64,
     me: NodeId,
 }
@@ -426,20 +564,12 @@ impl Ctx<'_> {
 
     fn push(&mut self, at: u64, lane: Lane, dst: NodeId, msg: Msg) {
         assert!(at >= self.now, "cannot schedule into the past");
-        let seq = *self.seq;
-        *self.seq += 1;
-        let order = match (self.policy, lane) {
-            (DeliveryPolicy::Interleaved { seed }, Lane::Message) => {
-                mix64(seed ^ at.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seq)
-            }
-            _ => 0,
-        };
-        self.queue.push(Reverse(Event { at, lane, order, seq, dst, msg }));
+        self.out.push(Outgoing { at, lane, dst, msg });
     }
 
-    /// Sends `msg` to `dst`, delivered at the current virtual time (after
-    /// every already-queued same-time message under
-    /// [`DeliveryPolicy::Lockstep`]).
+    /// Sends `msg` to `dst`, delivered at the current virtual time, after
+    /// the current batch (and after every already-queued same-time message
+    /// under [`DeliveryPolicy::Lockstep`]).
     pub fn send(&mut self, dst: NodeId, msg: Msg) {
         self.push(self.now, Lane::Message, dst, msg);
     }
@@ -511,32 +641,85 @@ pub trait Checkpointable {
 mod tests {
     use super::*;
 
-    /// Tape node: records every delivery as (now, me, label, timer).
+    type LogEntry = (u64, NodeId, u64, bool);
+
+    /// Tape node: records every delivery as `(now, me, id, timer)`, where
+    /// `id` is the `round` payload, and — when `relay` is set — emits a
+    /// fixed fan of follow-ups derived from `(id, me)` (see [`fan`]).
+    #[derive(Default)]
     struct Tape {
-        log: Vec<(u64, NodeId, &'static str, bool)>,
+        log: Vec<LogEntry>,
         relay: bool,
+        nodes: u32,
     }
 
-    impl Node for &mut Tape {
-        fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-            self.log.push((ctx.now(), ctx.me(), msg.label(), false));
-            if self.relay {
-                if let Msg::RoundStart { round } = msg {
-                    // A causal chain: each hop enqueues the next at the same
-                    // virtual time.
-                    if round > 0 {
-                        ctx.send(ctx.me(), Msg::RoundStart { round: round - 1 });
-                    }
-                }
+    /// The follow-ups a relaying tape emits for delivery `id` at node `me`:
+    /// `(timer, delay, dst, id)`. Messages relay same-time and one slot
+    /// later; timers never emit a same-time message.
+    fn fan(id: u64, me: NodeId, nodes: u32, timer: bool) -> Vec<(bool, u64, NodeId, u64)> {
+        let n = u64::from(nodes);
+        let to = |k: u64| NodeId::try_from((id * k + u64::from(me)) % n).expect("small");
+        let mut out = Vec::new();
+        if timer {
+            if id.is_multiple_of(3) && id < 300 {
+                out.push((false, 1, to(5), id + 401));
+                out.push((true, 0, to(11), id + 302));
             }
+            return out;
+        }
+        if id < 120 {
+            out.push((false, 0, to(7), id * 3 + 1));
+        }
+        if id.is_multiple_of(2) && id < 200 {
+            out.push((false, 1, to(13), id * 3 + 2));
+        }
+        if id.is_multiple_of(5) {
+            out.push((true, 0, me, id + 3));
+        }
+        out
+    }
+
+    impl Node for Tape {
+        fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
+            self.record(msg, ctx, false);
         }
         fn on_timer(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
-            self.log.push((ctx.now(), ctx.me(), msg.label(), true));
+            self.record(msg, ctx, true);
+        }
+    }
+
+    impl Tape {
+        fn record(&mut self, msg: Msg, ctx: &mut Ctx<'_>, timer: bool) {
+            let id = match msg {
+                Msg::RoundStart { round }
+                | Msg::GlobalBroadcast { round }
+                | Msg::RoundEnd { round } => round,
+                _ => u64::MAX,
+            };
+            self.log.push((ctx.now(), ctx.me(), id, timer));
+            if !self.relay || id == u64::MAX {
+                return;
+            }
+            for (t, delay, dst, next) in fan(id, ctx.me(), self.nodes, timer) {
+                if t {
+                    ctx.timer_at(ctx.now() + delay, dst, Msg::RoundEnd { round: next });
+                } else if next % 4 == 1 {
+                    // A second message kind, so same-time runs split into
+                    // several batches.
+                    ctx.send_at(ctx.now() + delay, dst, Msg::GlobalBroadcast { round: next });
+                } else {
+                    ctx.send_at(ctx.now() + delay, dst, Msg::RoundStart { round: next });
+                }
+            }
         }
     }
 
     fn tape() -> Tape {
-        Tape { log: Vec::new(), relay: false }
+        Tape::default()
+    }
+
+    fn relays(nodes: u32) -> Vec<Tape> {
+        (0..nodes).map(|_| Tape { relay: true, nodes, ..Tape::default() }).collect()
     }
 
     #[test]
@@ -547,30 +730,32 @@ mod tests {
         sched.send_at(3, 0, Msg::RoundStart { round: 0 });
         sched.send_at(5, 0, Msg::ViewPush { round: 0, view: vec![] });
         let mut t = tape();
-        sched.run_until(10, std::slice::from_mut(&mut &mut t));
-        let labels: Vec<_> = t.log.iter().map(|&(at, _, l, timer)| (at, l, timer)).collect();
-        assert_eq!(
-            labels,
-            vec![
-                (3, "msg:round_start", false),
-                (5, "msg:global_broadcast", false),
-                (5, "msg:view_push", false),
-                (5, "msg:round_end", true),
-            ]
-        );
+        sched.run_until(10, &mut t, &mut Vec::<Tape>::new());
+        let labels: Vec<_> = t.log.iter().map(|&(at, _, id, timer)| (at, id, timer)).collect();
+        assert_eq!(labels, vec![(3, 0, false), (5, 0, false), (5, u64::MAX, false), (5, 0, true)]);
         assert_eq!(sched.now(), 10);
         assert_eq!(sched.pending_len(), 0);
     }
 
     #[test]
     fn causal_same_time_chains_self_order() {
+        struct Chain(Vec<u64>);
+        impl Node for Chain {
+            fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
+                if let Msg::RoundStart { round } = msg {
+                    self.0.push(ctx.now());
+                    // Each hop enqueues the next at the same virtual time.
+                    if round > 0 {
+                        ctx.send(ctx.me(), Msg::RoundStart { round: round - 1 });
+                    }
+                }
+            }
+        }
         let mut sched = Scheduler::new(DeliveryPolicy::Lockstep);
         sched.send_at(1, 0, Msg::RoundStart { round: 3 });
-        let mut t = tape();
-        t.relay = true;
-        sched.run_until(1, std::slice::from_mut(&mut &mut t));
-        assert_eq!(t.log.len(), 4, "each hop delivered at time 1");
-        assert!(t.log.iter().all(|&(at, ..)| at == 1));
+        let mut c = Chain(Vec::new());
+        sched.run_until(1, &mut c, &mut Vec::<Chain>::new());
+        assert_eq!(c.0, vec![1; 4], "each hop delivered at time 1");
     }
 
     #[test]
@@ -579,48 +764,38 @@ mod tests {
         sched.send_at(2, 0, Msg::RoundStart { round: 0 });
         sched.send_at(7, 0, Msg::RoundStart { round: 1 });
         let mut t = tape();
-        sched.run_until(4, std::slice::from_mut(&mut &mut t));
+        sched.run_until(4, &mut t, &mut Vec::<Tape>::new());
         assert_eq!(t.log.len(), 1);
         assert_eq!(sched.pending_len(), 1);
-        sched.run_until(7, std::slice::from_mut(&mut &mut t));
+        sched.run_until(7, &mut t, &mut Vec::<Tape>::new());
         assert_eq!(t.log.len(), 2);
     }
 
     #[test]
     fn interleaved_permutes_same_time_messages_but_not_timers() {
-        let deliver = |policy: DeliveryPolicy| -> Vec<&'static str> {
+        let deliver = |policy: DeliveryPolicy| -> Vec<u64> {
             let mut sched = Scheduler::new(policy);
-            for (i, msg) in [
-                Msg::ViewPush { round: 0, view: vec![] },
-                Msg::GlobalBroadcast { round: 0 },
-                Msg::MixTrain { round: 0, epochs: 1 },
-                Msg::RoundStart { round: 0 },
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let _ = i;
-                sched.send_at(4, 0, msg);
+            for id in 0..6 {
+                sched.send_at(4, 0, Msg::RoundStart { round: id });
             }
-            sched.timer_at(4, 0, Msg::RoundEnd { round: 0 });
+            sched.timer_at(4, 0, Msg::RoundEnd { round: 99 });
             let mut t = tape();
-            sched.run_until(4, std::slice::from_mut(&mut &mut t));
-            t.log.iter().map(|&(_, _, l, _)| l).collect()
+            sched.run_until(4, &mut t, &mut Vec::<Tape>::new());
+            t.log.iter().map(|&(_, _, id, _)| id).collect()
         };
         let fifo = deliver(DeliveryPolicy::Lockstep);
-        // Some seed produces a genuinely different message order (4! = 24
+        assert_eq!(fifo, vec![0, 1, 2, 3, 4, 5, 99]);
+        // Some seed produces a genuinely different message order (6! = 720
         // permutations; seeds 0..16 overwhelmingly cover a non-identity).
         let mut saw_permutation = false;
         for seed in 0..16 {
             let got = deliver(DeliveryPolicy::Interleaved { seed });
             // The timer still closes the slot.
-            assert_eq!(*got.last().unwrap(), "msg:round_end");
+            assert_eq!(*got.last().unwrap(), 99);
             // Same multiset of messages.
-            let mut a = fifo.clone();
-            let mut b = got.clone();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
+            let mut sorted = got.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, fifo);
             if got != fifo {
                 saw_permutation = true;
             }
@@ -648,45 +823,30 @@ mod tests {
                 }
             }
         };
+        let run = |sched: &mut Scheduler, until: u64| -> Vec<LogEntry> {
+            let (mut hub, mut seats) = (tape(), vec![tape()]);
+            sched.run_until(until, &mut hub, &mut seats);
+            let mut log = hub.log;
+            log.append(&mut seats[0].log);
+            log
+        };
         let mut straight = Scheduler::new(DeliveryPolicy::Lockstep);
         fill(&mut straight);
-        let mut full_log = tape();
-        let mut nodes = [tape(), tape()];
-        {
-            let mut refs: Vec<&mut Tape> = nodes.iter_mut().collect();
-            straight.run_until(10, &mut refs);
-            for n in &mut nodes {
-                full_log.log.append(&mut n.log);
-            }
-        }
+        let mut full_log = run(&mut straight, 10);
 
         let mut first = Scheduler::new(DeliveryPolicy::Lockstep);
         fill(&mut first);
-        let mut a = [tape(), tape()];
-        {
-            let mut refs: Vec<&mut Tape> = a.iter_mut().collect();
-            first.run_until(1, &mut refs);
-        }
+        let mut spliced = run(&mut first, 1);
         let pending = first.drain_pending();
         assert!(!pending.is_empty(), "queue must be non-empty at the cut");
 
         let mut resumed = Scheduler::new(DeliveryPolicy::Lockstep);
         resumed.install_pending(pending);
-        let mut b = [tape(), tape()];
-        {
-            let mut refs: Vec<&mut Tape> = b.iter_mut().collect();
-            resumed.run_until(10, &mut refs);
-        }
-        let mut spliced = tape();
-        for n in a.iter_mut().chain(b.iter_mut()) {
-            spliced.log.append(&mut n.log);
-        }
+        spliced.append(&mut run(&mut resumed, 10));
         // Per-node logs concatenate; compare as multisets per (time, node).
-        let canon = |mut log: Vec<(u64, NodeId, &'static str, bool)>| {
-            log.sort();
-            log
-        };
-        assert_eq!(canon(spliced.log), canon(full_log.log));
+        spliced.sort_unstable();
+        full_log.sort_unstable();
+        assert_eq!(spliced, full_log);
     }
 
     #[test]
@@ -721,6 +881,125 @@ mod tests {
         }
         let mut sched = Scheduler::new(DeliveryPolicy::Lockstep);
         sched.send_at(5, 0, Msg::RoundStart { round: 0 });
-        sched.run_until(5, &mut [BadNode]);
+        sched.run_until(5, &mut BadNode, &mut Vec::<BadNode>::new());
+    }
+
+    /// One-at-a-time delivery — the scheduler before batch dispatch — kept
+    /// as the reference the batch path must reproduce under Lockstep.
+    /// Delivers every event with `at <= until` to `nodes` (node 0 is the
+    /// hub) and returns the rest in delivery order.
+    fn serial_reference(init: &[SavedEvent], nodes: &mut [Tape], until: u64) -> Vec<SavedEvent> {
+        type Queue = BinaryHeap<Reverse<(u64, Lane, usize)>>;
+        fn push(q: &mut Queue, slab: &mut Vec<Option<(NodeId, Msg)>>, o: Outgoing) {
+            q.push(Reverse((o.at, o.lane, slab.len())));
+            slab.push(Some((o.dst, o.msg)));
+        }
+        let (mut queue, mut slab) = (Queue::new(), Vec::new());
+        for e in init {
+            let lane = if e.timer { Lane::Timer } else { Lane::Message };
+            push(
+                &mut queue,
+                &mut slab,
+                Outgoing { at: e.at, lane, dst: e.dst, msg: e.msg.clone() },
+            );
+        }
+        let mut left = Vec::new();
+        while let Some(Reverse((at, lane, seq))) = queue.pop() {
+            let (dst, msg) = slab[seq].take().expect("delivered once");
+            if at > until {
+                left.push(SavedEvent { at, dst, timer: lane == Lane::Timer, msg });
+                continue;
+            }
+            let mut out = Vec::new();
+            deliver(
+                &mut nodes[dst as usize],
+                lane,
+                msg,
+                &mut Ctx { out: &mut out, now: at, me: dst },
+            );
+            for o in out {
+                push(&mut queue, &mut slab, o);
+            }
+        }
+        left
+    }
+
+    #[test]
+    fn batch_dispatch_matches_the_serial_reference_at_any_thread_count() {
+        let nodes = 7u32;
+        let mut init = Vec::new();
+        // Two messages to one seat in one slot (node 2 at t=0, node 3 at
+        // t=1), hub traffic, and a timer sharing a slot with messages.
+        for (i, (at, dst)) in
+            [(0, 2), (0, 2), (0, 0), (0, 5), (1, 3), (1, 3), (1, 1), (2, 6)].into_iter().enumerate()
+        {
+            let msg = Msg::RoundStart { round: 4 * i as u64 };
+            init.push(SavedEvent { at, dst, timer: false, msg });
+        }
+        init.push(SavedEvent { at: 0, dst: 4, timer: true, msg: Msg::RoundEnd { round: 9 } });
+        init.push(SavedEvent { at: 1, dst: 0, timer: true, msg: Msg::RoundEnd { round: 6 } });
+        let until = 3;
+        let mut reference = relays(nodes);
+        let left = serial_reference(&init, &mut reference, until);
+        let delivered: usize = reference.iter().map(|t| t.log.len()).sum();
+        assert!(delivered > 60, "the fan is too thin to test anything: {delivered}");
+        assert!(!left.is_empty(), "some events must outlive the cut");
+        for threads in ["1", "2", "4"] {
+            std::env::set_var("CIA_THREADS", threads);
+            let mut sched = Scheduler::new(DeliveryPolicy::Lockstep);
+            sched.install_pending(init.clone());
+            let mut all = relays(nodes);
+            let (hub, seats) = all.split_first_mut().expect("nodes");
+            sched.run_until(until, hub, seats);
+            for (node, (got, want)) in all.iter().zip(&reference).enumerate() {
+                assert_eq!(got.log, want.log, "node {node} at CIA_THREADS={threads}");
+            }
+            assert_eq!(sched.drain_pending(), left, "queue at CIA_THREADS={threads}");
+        }
+        std::env::remove_var("CIA_THREADS");
+    }
+
+    #[test]
+    fn same_time_sends_land_after_their_batch() {
+        // Node 2 has two messages queued at t=1; node 1, in the same batch,
+        // relays a third to it at t=1. The relay arrives after both.
+        #[derive(Default)]
+        struct Fwd(Vec<u64>);
+        impl Node for Fwd {
+            fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
+                if let Msg::RoundStart { round } = msg {
+                    self.0.push(round);
+                    if round == 10 {
+                        ctx.send(2, Msg::RoundStart { round: 11 });
+                    }
+                }
+            }
+        }
+        let mut sched = Scheduler::new(DeliveryPolicy::Lockstep);
+        sched.send_at(1, 2, Msg::RoundStart { round: 1 });
+        sched.send_at(1, 1, Msg::RoundStart { round: 10 });
+        sched.send_at(1, 2, Msg::RoundStart { round: 2 });
+        let mut seats = [Fwd::default(), Fwd::default()];
+        sched.run_until(1, &mut Fwd::default(), &mut seats);
+        assert_eq!(seats[0].0, vec![10]);
+        assert_eq!(seats[1].0, vec![1, 2, 11]);
+    }
+
+    #[test]
+    #[should_panic(expected = "same-time message")]
+    fn timer_batch_emitting_a_same_time_message_panics() {
+        // Serial delivery would hand the first timer's message over before
+        // the second timer fires; a batch cannot, so it refuses.
+        struct Eager;
+        impl Node for Eager {
+            fn on_message(&mut self, _msg: Msg, _ctx: &mut Ctx<'_>) {}
+            fn on_timer(&mut self, _msg: Msg, ctx: &mut Ctx<'_>) {
+                ctx.send(HUB, Msg::RoundStart { round: 0 });
+            }
+        }
+        let mut sched = Scheduler::new(DeliveryPolicy::Lockstep);
+        sched.timer_at(5, 1, Msg::RoundEnd { round: 0 });
+        sched.timer_at(5, 2, Msg::RoundEnd { round: 1 });
+        sched.run_until(5, &mut Eager, &mut [Eager, Eager]);
     }
 }

@@ -41,7 +41,9 @@ const MAGIC: u32 = 0x4349_4153;
 // scheduler at the round boundary. The codec covers the full [`Msg`] surface
 // so a kill between any two rounds restores the queue verbatim. An empty
 // section (written by older builds' fused round loops) re-derives the
-// refresh timers on the next round.
+// refresh timers on the next round. Message tag 12 (`Fold`, the FedAvg
+// aggregation chain) joined the surface without a version bump: no v5 file
+// holds it, and every v5 file still decodes.
 // v4: undelivered gossip inbox models are delta-encoded against the sender's
 // `prev_sent` reference (its momentum of clean outgoing state) — sparse
 // training touches a handful of item rows per round, so the last undelivered
@@ -561,22 +563,32 @@ impl Writer {
     /// the refresh timers that cross rounds in practice — survives a kill.
     fn msg(&mut self, m: &Msg) {
         match m {
-            Msg::TrainRequest { round, epochs, global, weight, acc, snap } => {
+            // Tags 0 and 1 keep their v5 layout: the accumulator the FedAvg
+            // chain once threaded through them travels in `Fold` now, so its
+            // slots are written empty and skipped on read.
+            Msg::TrainRequest { round, epochs, global, snap } => {
                 self.u8(0);
                 self.u64(*round);
                 self.u64(*epochs as u64);
                 self.f32s(global);
-                self.f32(*weight);
-                self.opt_f32s(acc.as_deref());
+                self.f32(0.0);
+                self.opt_f32s(None);
                 self.opt_model(snap.as_ref());
             }
-            Msg::ModelUpdate { round, client, loss, acc, snap } => {
+            Msg::ModelUpdate { round, client, loss, snap } => {
                 self.u8(1);
                 self.u64(*round);
                 self.u32(*client);
                 self.f32(*loss);
-                self.opt_f32s(acc.as_deref());
+                self.opt_f32s(None);
                 self.opt_model(snap.as_ref());
+            }
+            Msg::Fold { round, weight, global, acc } => {
+                self.u8(12);
+                self.u64(*round);
+                self.f32(*weight);
+                self.f32s(global);
+                self.f32s(acc);
             }
             Msg::GlobalBroadcast { round } => {
                 self.u8(2);
@@ -783,21 +795,21 @@ impl Reader<'_> {
     /// Inverse of [`Writer::msg`].
     fn msg(&mut self) -> Result<Msg, String> {
         Ok(match self.u8()? {
-            0 => Msg::TrainRequest {
-                round: self.u64()?,
-                epochs: self.u64()? as usize,
-                global: Arc::new(self.f32s()?),
-                weight: self.f32()?,
-                acc: self.opt_f32s()?,
-                snap: self.opt_model()?,
-            },
-            1 => Msg::ModelUpdate {
-                round: self.u64()?,
-                client: self.u32()?,
-                loss: self.f32()?,
-                acc: self.opt_f32s()?,
-                snap: self.opt_model()?,
-            },
+            0 => {
+                let (round, epochs, global) = (self.u64()?, self.u64()? as usize, self.f32s()?);
+                let _ = (self.f32()?, self.opt_f32s()?);
+                Msg::TrainRequest {
+                    round,
+                    epochs,
+                    global: Arc::new(global),
+                    snap: self.opt_model()?,
+                }
+            }
+            1 => {
+                let (round, client, loss) = (self.u64()?, self.u32()?, self.f32()?);
+                let _ = self.opt_f32s()?;
+                Msg::ModelUpdate { round, client, loss, snap: self.opt_model()? }
+            }
             2 => Msg::GlobalBroadcast { round: self.u64()? },
             3 => Msg::ViewPush { round: self.u64()?, view: self.u32s()? },
             4 => Msg::ModelPush {
@@ -825,6 +837,12 @@ impl Reader<'_> {
             9 => Msg::RouteFlush { round: self.u64()? },
             10 => Msg::RoundStart { round: self.u64()? },
             11 => Msg::RoundEnd { round: self.u64()? },
+            12 => Msg::Fold {
+                round: self.u64()?,
+                weight: self.f32()?,
+                global: Arc::new(self.f32s()?),
+                acc: self.f32s()?,
+            },
             tag => return Err(format!("unknown message tag {tag}")),
         })
     }
@@ -934,6 +952,77 @@ mod tests {
             }
             _ => panic!("attack family changed"),
         }
+    }
+
+    #[test]
+    fn every_message_kind_roundtrips() {
+        let model = SharedModel {
+            owner: UserId::new(2),
+            round: 4,
+            owner_emb: Some(vec![0.25]),
+            agg: vec![1.5, -3.0],
+        };
+        let global = Arc::new(vec![0.5f32, 1.0e-40]);
+        let msgs = vec![
+            Msg::TrainRequest { round: 4, epochs: 2, global: Arc::clone(&global), snap: None },
+            Msg::TrainRequest {
+                round: 4,
+                epochs: 1,
+                global: Arc::clone(&global),
+                snap: Some(model.clone()),
+            },
+            Msg::ModelUpdate { round: 4, client: 3, loss: 0.75, snap: Some(model.clone()) },
+            Msg::Fold { round: 4, weight: 0.125, global, acc: vec![-0.0, 2.0] },
+            Msg::GlobalBroadcast { round: 4 },
+            Msg::ViewPush { round: 4, view: vec![1, 0] },
+            Msg::ModelPush { round: 4, sender: 1, dest: 0, model: model.clone() },
+            Msg::RefreshTimer { node: 1 },
+            Msg::WakeSend { round: 4, dest: 1, snap: Some(model) },
+            Msg::MixTrain { round: 4, epochs: 3 },
+            Msg::TrainReport { round: 4, node: 0, loss: 1.0, heard: vec![(1, -0.5)] },
+            Msg::RouteFlush { round: 4 },
+            Msg::RoundStart { round: 4 },
+            Msg::RoundEnd { round: 4 },
+        ];
+        let mut ck = sample();
+        let ProtocolState::Gl(state) = &mut ck.protocol else { panic!("sample is gossip") };
+        state.pending = msgs
+            .into_iter()
+            .enumerate()
+            .map(|(i, msg)| SavedEvent { at: 40 + i as u64, dst: 1, timer: i % 2 == 1, msg })
+            .collect();
+        let want = state.pending.clone();
+        let back = Checkpoint::decode(&ck.encode(), 0xFEED).unwrap();
+        let ProtocolState::Gl(state) = back.protocol else { panic!("protocol family changed") };
+        assert_eq!(state.pending, want);
+    }
+
+    #[test]
+    fn v5_fedavg_messages_with_an_accumulator_still_decode() {
+        // v5 threaded the accumulator through `TrainRequest`/`ModelUpdate`;
+        // the slots stay in the layout and are skipped on read.
+        let mut w = Writer::default();
+        w.u8(0);
+        w.u64(7);
+        w.u64(1);
+        w.f32s(&[0.5]);
+        w.f32(0.25);
+        w.opt_f32s(Some(&[1.0, 2.0]));
+        w.opt_model(None);
+        w.u8(1);
+        w.u64(7);
+        w.u32(3);
+        w.f32(0.5);
+        w.opt_f32s(Some(&[1.0]));
+        w.opt_model(None);
+        let mut r = Reader { bytes: &w.buf, pos: 0 };
+        let global = Arc::new(vec![0.5]);
+        assert_eq!(r.msg().unwrap(), Msg::TrainRequest { round: 7, epochs: 1, global, snap: None });
+        assert_eq!(
+            r.msg().unwrap(),
+            Msg::ModelUpdate { round: 7, client: 3, loss: 0.5, snap: None }
+        );
+        assert_eq!(r.pos, w.buf.len());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use cia_data::presets::Scale;
 use cia_scenarios::runner::{run_scenario, run_suite, validate_jsonl, RunOptions};
-use cia_scenarios::{builtin_suite, ScenarioOutcome};
+use cia_scenarios::{builtin_suite, named_suite, ScenarioOutcome};
 use std::path::PathBuf;
 
 fn run_builtin(seed: u64) -> (Vec<ScenarioOutcome>, Vec<u8>) {
@@ -276,27 +276,34 @@ fn gossip_checkpoint_carries_the_live_event_queue() {
 
 #[test]
 fn parallel_and_serial_streams_are_byte_identical() {
-    // The round hot path fans out over CIA_THREADS workers (client training,
-    // gossip aggregation, relevance scoring, utility evaluation). Per-client
-    // RNG streams are salted by id and every reduction folds in index order,
-    // so the JSONL stream must be byte-identical for any thread count.
+    // The round hot path fans out over CIA_THREADS workers (same-slot
+    // batches of client training, gossip send and mix+train, relevance
+    // scoring, utility evaluation). Per-node RNG streams are salted by id,
+    // batch emissions are queued in serial order and every reduction folds
+    // in index order, so the JSONL stream must be byte-identical for any
+    // thread count. `pers-gossip-churn` adds Pers-Gossip's `evaluate_model`
+    // evidence and churn to the builtin suite's FedAvg and Rand-Gossip.
     //
     // Other tests in this binary may run concurrently and see the variable
     // flip — harmless, because thread count never changes results (exactly
     // the property under test).
-    let run_with = |threads: &str| -> Vec<u8> {
-        std::env::set_var("CIA_THREADS", threads);
-        let suite = builtin_suite(Scale::Smoke, 42);
-        let mut buf = Vec::new();
-        let outcomes = run_suite(&suite, &RunOptions::default(), &mut buf).unwrap();
-        assert!(outcomes.iter().all(|o| o.completed));
-        buf
-    };
-    let serial = run_with("1");
-    let parallel = run_with("4");
+    for name in ["builtin", "pers-gossip-churn"] {
+        let run_with = |threads: &str| -> Vec<u8> {
+            std::env::set_var("CIA_THREADS", threads);
+            let suite = named_suite(name, Scale::Smoke, 42).unwrap();
+            let mut buf = Vec::new();
+            let outcomes = run_suite(&suite, &RunOptions::default(), &mut buf).unwrap();
+            assert!(outcomes.iter().all(|o| o.completed));
+            buf
+        };
+        let serial = run_with("1");
+        for threads in ["2", "4"] {
+            let parallel = run_with(threads);
+            assert_eq!(serial, parallel, "{name}: CIA_THREADS={threads} changed the JSONL stream");
+        }
+        validate_jsonl(&String::from_utf8(serial).unwrap()).unwrap();
+    }
     std::env::remove_var("CIA_THREADS");
-    assert_eq!(serial, parallel, "thread count changed the JSONL stream");
-    validate_jsonl(&String::from_utf8(serial).unwrap()).unwrap();
 }
 
 #[test]

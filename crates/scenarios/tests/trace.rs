@@ -13,6 +13,7 @@
 //! * the Chrome trace-event export is well-formed.
 
 use cia_data::presets::Scale;
+use cia_scenarios::json::Json;
 use cia_scenarios::runner::{run_scenario, run_suite, validate_jsonl, RunOptions};
 use cia_scenarios::{builtin_suite, chrome_trace, summarize, validate_chrome_trace};
 use std::path::PathBuf;
@@ -58,12 +59,34 @@ fn no_timing_streams_are_byte_identical_and_trace_free() {
 
 #[test]
 fn timed_streams_carry_schema_valid_trace_records_with_phase_coverage() {
+    // Two workers, so FedAvg training and gossip send/mix+train run as
+    // parallel batches. Other tests in this binary may see the variable —
+    // harmless, thread count never changes results.
+    std::env::set_var("CIA_THREADS", "2");
     let suite = builtin_suite(Scale::Smoke, 42);
     let opts = RunOptions { timing: true, ..RunOptions::default() };
     let mut buf = Vec::new();
     run_suite(&suite, &opts, &mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();
     validate_jsonl(&text).unwrap();
+    // Phases are wall-clock slices of the round on the driving thread:
+    // their sum can never exceed the round. (A span opened on a worker
+    // would surface at depth 0 as a phase carrying busy time summed across
+    // threads.)
+    let mut checked = 0;
+    for line in text.lines().filter(|l| l.contains("\"type\":\"trace\"")) {
+        let record = Json::parse(line).unwrap();
+        let Some(round_us) = record.get("round_us").and_then(Json::as_f64) else { continue };
+        let phases = record.get("span_us").and_then(Json::as_obj).unwrap();
+        let sum: f64 = phases
+            .iter()
+            .filter(|(name, _)| name != "other")
+            .map(|(_, v)| v.as_f64().unwrap())
+            .sum();
+        assert!(sum <= round_us, "phases sum to {sum} µs in a {round_us} µs round: {line}");
+        checked += 1;
+    }
+    assert!(checked > 0, "no trace record carried round_us");
     let reports = summarize(&text).unwrap();
     assert_eq!(reports.len(), 3, "one report per builtin scenario");
     for r in &reports {

@@ -80,5 +80,5 @@ fn main() {
     println!("cleanly that the latest snapshot (beta=0) already ranks near the");
     println!("ceiling, while beta=0.99 anchors on early, under-trained models;");
     println!("the paper's real-data noise is what makes its Table VI favor the");
-    println!("momentum (see EXPERIMENTS.md for the discussion).");
+    println!("momentum.");
 }

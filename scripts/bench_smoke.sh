@@ -32,22 +32,27 @@ scripts/scenario_smoke.sh
 
 # Observability smoke: a timed single-scenario run must emit trace records
 # that `scenario report` can aggregate, plus a Chrome trace file that
-# parses. Artifacts land in target/bench-smoke/ (CI uploads trace.json on a
-# failed run).
+# parses — for FedAvg (baseline-static) and for gossip (colluding-sybils),
+# whose send and mix+train batches run on worker threads. Artifacts land in
+# target/bench-smoke/ (CI uploads trace.json on a failed run).
 echo "== scenario report + Chrome trace smoke"
 mkdir -p target/bench-smoke
-cargo run --release -q -p cia-scenarios --bin scenario -- \
-    run --suite builtin --scale smoke --seed 42 --only baseline-static \
-    --out target/bench-smoke/report-smoke.jsonl \
-    --trace-out target/bench-smoke/trace.json
-report_out=$(cargo run --release -q -p cia-scenarios --bin scenario -- \
-    report --check-trace target/bench-smoke/trace.json \
-    target/bench-smoke/report-smoke.jsonl)
-echo "$report_out"
-if echo "$report_out" | grep -q "no trace records"; then
-    echo "error: timed run produced no trace records" >&2
-    exit 1
-fi
+trace_smoke() { # <scenario> <report.jsonl> <trace.json>
+    cargo run --release -q -p cia-scenarios --bin scenario -- \
+        run --suite builtin --scale smoke --seed 42 --only "$1" \
+        --out "$2" --trace-out "$3"
+    report_out=$(cargo run --release -q -p cia-scenarios --bin scenario -- \
+        report --check-trace "$3" "$2")
+    echo "$report_out"
+    if echo "$report_out" | grep -q "no trace records"; then
+        echo "error: timed $1 run produced no trace records" >&2
+        exit 1
+    fi
+}
+trace_smoke baseline-static target/bench-smoke/report-smoke.jsonl \
+    target/bench-smoke/trace.json
+trace_smoke colluding-sybils target/bench-smoke/report-gossip-smoke.jsonl \
+    target/bench-smoke/trace-gossip.json
 
 # Serving smoke: answer top-k queries concurrently with a training run and
 # require the `serve: OK` marker (printed only after the query budget drains
