@@ -9,11 +9,12 @@ use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::{Preset, Scale};
 use cia_data::{jaccard_index, GroundTruth, LeaveOneOut, UserId};
 use cia_defenses::{DpConfig, DpMechanism, UpdateTransform};
-use cia_federated::{FedAvg, FedAvgConfig, NullObserver};
+use cia_federated::{FedAvg, FedAvgConfig, NullObserver, RoundObserver};
 use cia_gossip::{GossipConfig, GossipSim, NullGossipObserver};
 use cia_models::params::{clip_l2, ema, sigmoid};
 use cia_models::{
-    kernel, ClientStore, GmfHyper, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer, SharingPolicy,
+    kernel, ClientStore, GmfClient, GmfHyper, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer,
+    SharingPolicy,
 };
 use cia_scenarios::runner::gmf_scorer;
 use cia_scenarios::{DynamicsSpec, FlDynamics, ParticipantDynamics};
@@ -393,11 +394,20 @@ fn bench_protocol_rounds(c: &mut Criterion) {
     });
 }
 
-fn bench_attack_eval(c: &mut Criterion) {
-    let data = Preset::MovieLens.generate(Scale::Smoke, 5);
-    let split = LeaveOneOut::new(&data, 20, 5).unwrap();
+/// FedAvg over a MovieLens preset's whole population with an attached
+/// `FlCia` that evaluates every round. Targets are the users' train sets,
+/// each owner excluded from its own ranking, as in the paper's FL
+/// experiments.
+fn fl_with_attack(
+    scale: Scale,
+    seed: u64,
+    negatives: usize,
+    k: usize,
+    local_epochs: usize,
+) -> (FedAvg<GmfClient>, FlCia<ItemSetEvaluator<GmfSpec>>) {
+    let data = Preset::MovieLens.generate(scale, seed);
+    let split = LeaveOneOut::new(&data, negatives, seed).unwrap();
     let users = data.num_users();
-    let k = 5;
     let gt = GroundTruth::from_train_sets(split.train_sets(), k);
     let spec = GmfSpec::new(data.num_items(), 8, GmfHyper::default());
     let clients: Vec<_> = split
@@ -409,23 +419,44 @@ fn bench_attack_eval(c: &mut Criterion) {
             spec.build_client(UserId::new(u as u32), items.clone(), SharingPolicy::Full, u as u64)
         })
         .collect();
+    let evaluator = ItemSetEvaluator::new(spec, split.train_sets().to_vec(), false);
+    // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
+    let ids = || (0..users as u32).map(UserId::new);
+    let truths: Vec<_> = ids().map(|u| gt.community_of(u).to_vec()).collect();
+    let owners: Vec<_> = ids().map(Some).collect();
+    let attack = FlCia::new(
+        CiaConfig { k, beta: 0.99, eval_every: 1, seed: 0 },
+        evaluator,
+        users,
+        truths,
+        owners,
+    );
+    let sim =
+        FedAvg::new(clients, FedAvgConfig { rounds: u64::MAX, local_epochs, ..Default::default() });
+    (sim, attack)
+}
+
+fn bench_attack_eval(c: &mut Criterion) {
     c.bench_function("cia_fl_round_with_eval_48_users", |b| {
-        let evaluator = ItemSetEvaluator::new(spec.clone(), split.train_sets().to_vec(), false);
-        let truths: Vec<_> =
-            // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-            (0..users as u32).map(|u| gt.community_of(UserId::new(u)).to_vec()).collect();
-        // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
-        let owners: Vec<_> = (0..users as u32).map(|u| Some(UserId::new(u))).collect();
-        let mut attack = FlCia::new(
-            CiaConfig { k, beta: 0.99, eval_every: 1, seed: 0 },
-            evaluator,
-            users,
-            truths,
-            owners,
-        );
-        let mut sim =
-            FedAvg::new(clients.clone(), FedAvgConfig { rounds: u64::MAX, ..Default::default() });
+        let (mut sim, mut attack) = fl_with_attack(Scale::Smoke, 5, 20, 5, 1);
         b.iter(|| sim.step(&mut attack));
+    });
+    // Smoke-size twin of `cia_fl_eval_paper_943x1682`: three full blocks of
+    // momentum models through the blocked relevance path.
+    bench_fl_eval(c, "cia_fl_eval_48_users", Scale::Smoke, 20, 5);
+}
+
+/// Times one `MomentumCia` evaluation (score every observed momentum model
+/// against every target, then rank every target) with the whole population
+/// observed: one FedAvg round (the paper's 2 local epochs) feeds every
+/// client's upload into the attack, then each timed iteration is one
+/// evaluating `on_round_end`.
+fn bench_fl_eval(c: &mut Criterion, name: &str, scale: Scale, negatives: usize, k: usize) {
+    let (mut sim, mut attack) = fl_with_attack(scale, 3, negatives, k, 2);
+    let stats = sim.step(&mut attack);
+    assert_eq!(attack.senders_seen(), stats.participants, "every client uploaded once");
+    c.bench_function(name, |b| {
+        b.iter(|| RoundObserver::on_round_end(&mut attack, &stats));
     });
 }
 
@@ -557,6 +588,9 @@ fn bench_paper_scale(c: &mut Criterion) {
         emit_mix_hist_rows(&format!("gossip_round_paper_943x1682{t}"), &rec);
         emit_phase_rows(&format!("gossip_round_paper_943x1682{t}"), &rec, PHASE_ROUNDS);
     }
+    // One attack evaluation over all 943 momentum models (k = 50, the
+    // paper's community size): the attack half of an evaluating FL round.
+    bench_fl_eval(c, &format!("cia_fl_eval_paper_943x1682{t}"), Scale::Paper, 100, 50);
     // Serving at paper scale: per-query cold cost, plus a sustained-QPS row
     // over the deterministic Zipf workload (hot users mostly hit the
     // ranking cache, as a real request log would).
@@ -609,10 +643,12 @@ fn emit_serve_qps_row(name: &str, hub: &Arc<SnapshotHub>) {
 
 /// Appends per-phase breakdown rows (`<base>_phase_<name>`) to the
 /// `CRITERION_JSON` stream: the mean ns/round each top-level recorder span
-/// (sample, train, attack, aggregate, evaluate, …) cost over `rounds`
-/// instrumented rounds. The phase pass runs *outside* `Bencher::iter` — the
-/// timed rows stay un-instrumented — so the breakdown annotates the
-/// end-to-end median instead of perturbing it.
+/// (sample, train, attack, aggregate, …) cost over `rounds` instrumented
+/// rounds. The phase pass runs *outside* `Bencher::iter` — the timed rows
+/// stay un-instrumented — so the breakdown annotates the end-to-end median
+/// instead of perturbing it. The `evaluate` span (the observer's round-end
+/// hook) gets no row: these rounds run under a null observer, where it
+/// measures nothing; `cia_fl_eval_*` times the attack's evaluation.
 fn emit_phase_rows(base: &str, rec: &cia_core::Recorder, rounds: u64) {
     let Some(path) = std::env::var_os("CRITERION_JSON") else {
         return;
@@ -620,7 +656,7 @@ fn emit_phase_rows(base: &str, rec: &cia_core::Recorder, rounds: u64) {
     let chunk = rec.drain();
     let mut names: Vec<&'static str> = Vec::new();
     let mut sums: Vec<u64> = Vec::new();
-    for s in chunk.spans.iter().filter(|s| s.depth == 0) {
+    for s in chunk.spans.iter().filter(|s| s.depth == 0 && s.name != "evaluate") {
         match names.iter().position(|&n| n == s.name) {
             Some(i) => sums[i] += s.dur_us,
             None => {

@@ -8,7 +8,7 @@
 //! ([`GossipObserver`]). [`MomentumCia`] implements both observers, and
 //! [`FlCia`] and [`GlCiaCoalition`] name its two roles.
 
-use crate::evaluator::RelevanceEvaluator;
+use crate::evaluator::{RelevanceEvaluator, BLOCK};
 use crate::metrics::{community_accuracy, top_k_ids, AttackOutcome, AttackTracker, RoundPoint};
 use crate::momentum::MomentumState;
 use cia_data::UserId;
@@ -209,16 +209,27 @@ impl<E: RelevanceEvaluator> MomentumCia<E> {
     }
 
     /// Scores every seen user's momentum model against every target, into the
-    /// reusable flat relevance matrix (one row per user, filled in parallel).
+    /// reusable flat relevance matrix: one row per user, in chunks of
+    /// [`BLOCK`] users filled in parallel. Each run of consecutive seen users
+    /// in a chunk is one [`RelevanceEvaluator::relevance_many`] call; rows of
+    /// never-seen users stay untouched.
     fn refresh_relevance(&mut self) {
         let num_targets = self.evaluator.num_targets();
         if num_targets == 0 {
             return; // degenerate zero-target attack; nothing to score
         }
         let (rel, momentum, evaluator) = (&mut self.rel, &self.momentum, &self.evaluator);
-        par_chunks_mut(rel, num_targets, |u, row| {
-            if let Some(m) = &momentum[u] {
-                evaluator.relevance_all(m.emb(), m.agg(), row);
+        par_chunks_mut(rel, num_targets * BLOCK, |chunk, rows| {
+            let users = &momentum[chunk * BLOCK..][..rows.len() / num_targets];
+            let mut models: [(Option<&[f32]>, &[f32]); BLOCK] = [(None, &[]); BLOCK];
+            let mut start = 0;
+            for run in users.split(Option::is_none) {
+                for (slot, m) in models.iter_mut().zip(run.iter().flatten()) {
+                    *slot = (m.emb(), m.agg());
+                }
+                let out = &mut rows[start * num_targets..(start + run.len()) * num_targets];
+                evaluator.relevance_many(&models[..run.len()], out);
+                start += run.len() + 1;
             }
         });
     }
@@ -576,6 +587,46 @@ mod tests {
         sim.run(&mut attack);
         assert!(attack.momentum.iter().all(Option::is_some));
         assert!(attack.momentum.iter().flatten().all(|m| m.updates() == 3));
+    }
+
+    #[test]
+    fn blocked_refresh_fills_seen_rows_and_leaves_the_rest() {
+        // 40 users span three blocks (the last one partial); users 1, 4,
+        // 7, … and all of 16..20 are never seen, so runs break inside blocks
+        // and one run spans a block boundary.
+        use rand::{Rng, SeedableRng};
+        let users = 40;
+        let spec = GmfSpec::new(30, 4, GmfHyper::default());
+        let targets = vec![vec![0, 3, 7], vec![], vec![29], vec![1, 2, 5, 8, 13, 21]];
+        let evaluator = ItemSetEvaluator::new(spec.clone(), targets, false);
+        let mut attack =
+            FlCia::new(CiaConfig::default(), evaluator, users, vec![vec![]; 4], vec![None; 4]);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let agg_len = cia_models::RelevanceScorer::agg_len(&spec);
+        for u in (0..users).filter(|u| u % 3 != 1 && !(16..20).contains(u)) {
+            attack.on_client_model(&SharedModel {
+                // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+                owner: UserId::new(u as u32),
+                round: 0,
+                owner_emb: Some((0..4).map(|_| rng.gen::<f32>() - 0.5).collect()),
+                agg: (0..agg_len).map(|_| rng.gen::<f32>() - 0.5).collect(),
+            });
+        }
+        let sentinel = f32::from_bits(0x7FC0_1234);
+        attack.rel.iter_mut().for_each(|r| *r = sentinel);
+        attack.refresh_relevance();
+        for (u, row) in attack.rel.chunks_exact(4).enumerate() {
+            let bits: Vec<u32> = row.iter().map(|r| r.to_bits()).collect();
+            let want: Vec<u32> = match &attack.momentum[u] {
+                Some(m) => {
+                    let mut one = [0.0f32; 4];
+                    attack.evaluator.relevance_all(m.emb(), m.agg(), &mut one);
+                    one.iter().map(|r| r.to_bits()).collect()
+                }
+                None => vec![sentinel.to_bits(); 4],
+            };
+            assert_eq!(bits, want, "user {u}");
+        }
     }
 
     #[test]

@@ -1,34 +1,52 @@
 //! Target relevance evaluation, including the Share-less adaptation.
+//!
+//! Under full sharing [`ItemSetEvaluator`] scores models in blocks of
+//! [`BLOCK`]: each model's catalog scores (or normalized ranks) go into one
+//! lane of an item-major scratch matrix, `block[i * BLOCK + b]` for item `i`
+//! and model `b`. A target's relevance is then one pass over its items, each
+//! step a contiguous `BLOCK`-lane load added into a `[f32; BLOCK]`
+//! accumulator, instead of one scalar gather per model. Every lane performs
+//! exactly the additions of `items.iter().map(..).sum::<f32>()`, in the same
+//! order and from the same start value, `-0.0` (the additive identity for
+//! every float, including `-0.0` itself, which `+0.0` is not), so the result
+//! is bit-identical to scoring one model at a time.
+//!
+//! A lone model (`relevance_all`) runs the same kernel with one lane, so
+//! its scratch stays catalog-sized: at `BLOCK` lanes its pass over a
+//! target would stream `BLOCK` times the bytes for one useful sum.
 
 use cia_models::parallel::par_map;
 use cia_models::RelevanceScorer;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cell::RefCell;
+use std::sync::{Mutex, PoisonError};
 
-/// Reusable catalog-sized buffers for [`ItemSetEvaluator::relevance_all`].
+/// Models scored together by [`ItemSetEvaluator`]'s
+/// [`RelevanceEvaluator::relevance_many`]: the lane count of its item-major
+/// scratch block and per-target accumulator. Callers batching models (the
+/// momentum attack's relevance refresh) hand it this many at a time.
+pub const BLOCK: usize = 16;
+
+/// Reusable catalog-sized buffers for [`ItemSetEvaluator::relevance_many`].
 #[derive(Default)]
 struct EvalScratch {
     scores: Vec<f32>,
     ranks: Vec<f32>,
     order: Vec<u32>,
-}
-
-thread_local! {
-    /// Per-thread scratch: the `relevance_all` call sites run inside
-    /// `par_chunks_mut` workers (one model per row), so a thread-local buffer
-    /// makes per-model evaluation allocation-free once each worker is warm.
-    static EVAL_SCRATCH: RefCell<EvalScratch> = RefCell::new(EvalScratch::default());
+    /// Item-major per-item values of up to `L` models, for an `L`-lane
+    /// kernel: `block[i * L + b]` is item `i` under model `b`.
+    block: Vec<f32>,
 }
 
 /// Computes `Ŷ(Θ, V_target)` for every registered target given one
-/// (momentum-averaged) model.
+/// (momentum-averaged) model, or a batch of them.
 ///
-/// Implementations may batch across targets — the recsys evaluator scores the
-/// whole catalog once per model under full sharing, turning the per-target
-/// cost into a cheap mean. The MNIST experiment in `cia-experiments` provides
-/// its own implementation, demonstrating that the attack is model-agnostic
-/// (§VIII-E).
+/// Implementations may batch across targets and models: the recsys
+/// evaluator scores the whole catalog once per model under full sharing,
+/// turning the per-target cost into a cheap mean, and shares each target's
+/// pass over its items between a block of models. The MNIST experiment in
+/// `cia-experiments` provides its own implementation, demonstrating that the
+/// attack is model-agnostic (§VIII-E).
 pub trait RelevanceEvaluator: Send + Sync {
     /// Number of registered targets.
     fn num_targets(&self) -> usize;
@@ -49,6 +67,29 @@ pub trait RelevanceEvaluator: Send + Sync {
     fn relevance_all(&self, owner_emb: Option<&[f32]>, agg: &[f32], out: &mut [f32]) {
         for (t, o) in out.iter_mut().enumerate() {
             *o = self.relevance_one(owner_emb, agg, t);
+        }
+    }
+
+    /// Relevance of every model in `models` (`(owner_emb, agg)` pairs) for
+    /// all targets, written model-major into `out`: row `m`,
+    /// `out[m * num_targets()..][..num_targets()]`, belongs to `models[m]`.
+    ///
+    /// Any model count is allowed, zero included. Row `m` must equal
+    /// [`RelevanceEvaluator::relevance_all`] of `models[m]` bit for bit, so
+    /// a caller may batch models however it likes without changing a
+    /// result. The default loops `relevance_all`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len() != models.len() * num_targets()`.
+    fn relevance_many(&self, models: &[(Option<&[f32]>, &[f32])], out: &mut [f32]) {
+        let num_targets = self.num_targets();
+        assert_eq!(out.len(), models.len() * num_targets, "one output row per model");
+        if num_targets == 0 {
+            return;
+        }
+        for (&(emb, agg), row) in models.iter().zip(out.chunks_exact_mut(num_targets)) {
+            self.relevance_all(emb, agg, row);
         }
     }
 }
@@ -75,12 +116,26 @@ pub enum RelevanceKind {
 /// the target items and scores with it instead (§IV-C). Call
 /// [`RelevanceEvaluator::prepare`] whenever fresh public parameters are
 /// available; it is cheap and the embeddings are reused until the next call.
+///
+/// Under full sharing, [`RelevanceEvaluator::relevance_many`] scores models
+/// in blocks of [`BLOCK`] through one kernel (module docs): item-major
+/// scratch, one `BLOCK`-lane accumulator per target started at `-0.0`, the
+/// start value of `Iterator::sum::<f32>`. `relevance_all` is that kernel with
+/// one model in one lane. Share-less scores each target with its own
+/// fictive embedding, so it keeps the per-target
+/// [`RelevanceEvaluator::relevance_one`] loop.
 pub struct ItemSetEvaluator<S: RelevanceScorer> {
     scorer: S,
     targets: Vec<Vec<u32>>,
     share_less: bool,
     adversary_embs: Vec<Option<Vec<f32>>>,
     kind: RelevanceKind,
+    /// Idle scratch buffers, one per concurrent `relevance_many` call at
+    /// most. The call sites run on `par_chunks_mut` workers, which are
+    /// spawned afresh for every refresh, so thread-local buffers would be
+    /// allocated and freed again on every evaluation; a pool owned by the
+    /// evaluator stays warm from one evaluation to the next.
+    scratch: Mutex<Vec<EvalScratch>>,
 }
 
 impl<S: RelevanceScorer> ItemSetEvaluator<S> {
@@ -121,7 +176,14 @@ impl<S: RelevanceScorer> ItemSetEvaluator<S> {
             "rank relevance requires full sharing"
         );
         let adversary_embs = vec![None; targets.len()];
-        ItemSetEvaluator { scorer, targets, share_less, adversary_embs, kind }
+        ItemSetEvaluator {
+            scorer,
+            targets,
+            share_less,
+            adversary_embs,
+            kind,
+            scratch: Mutex::new(Vec::new()),
+        }
     }
 
     /// The registered target item sets.
@@ -188,51 +250,104 @@ impl<S: RelevanceScorer> RelevanceEvaluator for ItemSetEvaluator<S> {
     }
 
     fn relevance_all(&self, owner_emb: Option<&[f32]>, agg: &[f32], out: &mut [f32]) {
-        assert_eq!(out.len(), self.targets.len(), "one output per target");
+        self.relevance_many(&[(owner_emb, agg)], out);
+    }
+
+    fn relevance_many(&self, models: &[(Option<&[f32]>, &[f32])], out: &mut [f32]) {
+        let num_targets = self.targets.len();
+        assert_eq!(out.len(), models.len() * num_targets, "one output row per model");
+        if num_targets == 0 {
+            return;
+        }
         if self.share_less {
-            for (t, o) in out.iter_mut().enumerate() {
-                *o = self.relevance_one(owner_emb, agg, t);
+            for (&(emb, agg), row) in models.iter().zip(out.chunks_exact_mut(num_targets)) {
+                for (t, o) in row.iter_mut().enumerate() {
+                    *o = self.relevance_one(emb, agg, t);
+                }
             }
             return;
         }
-        // Fast path: score the catalog once into per-thread scratch (no
-        // catalog-sized allocation per model), then aggregate per target.
+        let pool = || self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut scratch = pool().pop().unwrap_or_default();
+        for (group, rows) in models.chunks(BLOCK).zip(out.chunks_mut(BLOCK * num_targets)) {
+            if group.len() == 1 {
+                self.score_lanes::<1>(group, rows, &mut scratch);
+            } else {
+                self.score_lanes::<BLOCK>(group, rows, &mut scratch);
+            }
+        }
+        pool().push(scratch);
+    }
+}
+
+impl<S: RelevanceScorer> ItemSetEvaluator<S> {
+    /// The relevance kernel for up to `L` models (full sharing): each
+    /// model's per-item values go into one lane of the item-major scratch
+    /// `block[i * L + b]`, then every target is one pass over its items into
+    /// an `L`-lane accumulator (module docs). Lanes past `group.len()` hold
+    /// stale values; their sums are computed and dropped.
+    fn score_lanes<const L: usize>(
+        &self,
+        group: &[(Option<&[f32]>, &[f32])],
+        rows: &mut [f32],
+        scratch: &mut EvalScratch,
+    ) {
         let n = self.scorer.num_items() as usize;
-        EVAL_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let EvalScratch { scores, ranks, order } = scratch;
-            scores.resize(n, 0.0);
-            self.scorer.score_items(owner_emb, agg, scores);
-            let per_item: &[f32] = match self.kind {
-                RelevanceKind::MeanScore => scores,
+        let num_targets = self.targets.len();
+        let EvalScratch { scores, ranks, order, block } = scratch;
+        scores.resize(n, 0.0);
+        block.resize(block.len().max(n * L), 0.0);
+        let (lanes, _) = block.as_chunks_mut::<L>();
+        let lanes = &mut lanes[..n];
+        for (b, &(emb, agg)) in group.iter().enumerate() {
+            self.scorer.score_items(emb, agg, scores);
+            let per_item = match self.kind {
+                RelevanceKind::MeanScore => &*scores,
                 RelevanceKind::MeanNormalizedRank => {
-                    // rank(i) = position in the descending score order.
-                    order.clear();
-                    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
-                    order.extend(0..n as u32);
-                    order.sort_by(|&a, &b| {
-                        crate::metrics::rank_desc(
-                            &(scores[a as usize], a),
-                            &(scores[b as usize], b),
-                        )
-                    });
-                    ranks.resize(n, 0.0);
-                    for (pos, &item) in order.iter().enumerate() {
-                        ranks[item as usize] = 1.0 - pos as f32 / n as f32;
-                    }
-                    ranks
+                    normalized_ranks(scores, order, ranks);
+                    &*ranks
                 }
             };
-            for (t, o) in out.iter_mut().enumerate() {
-                let items = &self.targets[t];
-                *o = if items.is_empty() {
-                    0.0
-                } else {
-                    // cia-lint: allow(D07, sequential left-to-right fold over a slice in index order; the reduction order is fixed)
-                    items.iter().map(|&i| per_item[i as usize]).sum::<f32>() / items.len() as f32
-                };
+            for (lane, &v) in lanes.iter_mut().zip(per_item) {
+                lane[b] = v;
             }
-        });
+        }
+        for (t, items) in self.targets.iter().enumerate() {
+            let mean = if items.is_empty() {
+                [0.0; L]
+            } else {
+                // Lane `b` is `items.iter().map(..).sum::<f32>()` of model
+                // `b`: the same additions in the same order.
+                let mut acc = [-0.0f32; L];
+                for &i in items {
+                    for (a, &v) in acc.iter_mut().zip(&lanes[i as usize]) {
+                        *a += v;
+                    }
+                }
+                let len = items.len() as f32;
+                acc.map(|a| a / len)
+            };
+            for (b, &m) in mean.iter().enumerate().take(group.len()) {
+                rows[b * num_targets + t] = m;
+            }
+        }
+    }
+}
+
+/// Writes `1 − rank(i)/n` for every item into `ranks`, where `rank(i)` is the
+/// item's position in the descending [`crate::metrics::rank_desc`] order of
+/// `scores`.
+fn normalized_ranks(scores: &[f32], order: &mut Vec<u32>, ranks: &mut Vec<f32>) {
+    let n = scores.len();
+    order.clear();
+    // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+    order.extend(0..n as u32);
+    order.sort_by(|&a, &b| {
+        crate::metrics::rank_desc(&(scores[a as usize], a), &(scores[b as usize], b))
+    });
+    ranks.resize(n, 0.0);
+    for (pos, &item) in order.iter().enumerate() {
+        ranks[item as usize] = 1.0 - pos as f32 / n as f32;
     }
 }
 

@@ -46,7 +46,7 @@ mod momentum;
 
 pub use aia::{AiaCommunityAttack, AiaConfig};
 pub use cia::{CiaAttackState, CiaConfig, FlCia, GlCiaCoalition, MomentumCia};
-pub use evaluator::{ItemSetEvaluator, RelevanceEvaluator, RelevanceKind};
+pub use evaluator::{ItemSetEvaluator, RelevanceEvaluator, RelevanceKind, BLOCK};
 pub use gl::{GlCiaAllPlacements, PlacementsState};
 pub use metrics::{AttackOutcome, AttackTracker, RoundPoint, TopK};
 pub use mia::{membership_entropy, MiaCommunityAttack, MiaConfig};

@@ -30,7 +30,9 @@ pub fn best_fraction_floor(accuracies: &[f64], frac: f64) -> f64 {
         return 0.0;
     }
     let mut sorted = accuracies.to_vec();
-    sorted.sort_by(|a, b| b.partial_cmp(a).expect("finite accuracies"));
+    // Accuracies are finite and non-negative (no NaN, no -0.0), where
+    // `total_cmp` is exactly the partial order.
+    sorted.sort_by(|a, b| b.total_cmp(a));
     let take = ((sorted.len() as f64 * frac).ceil() as usize).clamp(1, sorted.len());
     sorted[take - 1]
 }
@@ -220,8 +222,9 @@ impl AttackTracker {
 
     /// Summarizes into the paper's reporting format.
     pub fn outcome(&self) -> AttackOutcome {
-        let best =
-            self.history.iter().max_by(|a, b| a.aac.partial_cmp(&b.aac).expect("finite AAC"));
+        // AAC is a mean of finite non-negative accuracies, where `total_cmp`
+        // is exactly the partial order (ties still keep the last point).
+        let best = self.history.iter().max_by(|a, b| a.aac.total_cmp(&b.aac));
         match best {
             Some(p) => AttackOutcome {
                 k: self.k,

@@ -8,13 +8,20 @@
 //! coalition that relocates once mid-run, and the all-placements sweep.
 //! Coarse parameter levels make exact score ties common, and some models
 //! are destroyed (all NaN).
+//!
+//! A second oracle pins `ItemSetEvaluator`'s blocked kernel against the
+//! plain definition of relevance: score the catalog, then take
+//! `items.iter().map(..).sum::<f32>() / len` per target.
 
 use cia_core::metrics::rank_desc;
-use cia_core::{CiaConfig, GlCiaAllPlacements, MomentumCia, RelevanceEvaluator, RoundPoint};
+use cia_core::{
+    CiaConfig, GlCiaAllPlacements, ItemSetEvaluator, MomentumCia, RelevanceEvaluator,
+    RelevanceKind, RoundPoint, BLOCK,
+};
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
 use cia_gossip::{GossipObserver, GossipRoundStats};
-use cia_models::SharedModel;
+use cia_models::{GmfHyper, GmfSpec, RelevanceScorer, SharedModel};
 use cia_runtime::LivenessEvent;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -159,6 +166,7 @@ fn point(round: u64, accs: &[f64], uppers: &[f64], onlines: &[f64]) -> RoundPoin
         0.0
     } else {
         let mut sorted = accs.to_vec();
+        // cia-lint: allow(D08, the oracle keeps the plain partial order on purpose, to check the total_cmp order of best_fraction_floor; accuracies here are never NaN)
         sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
         let take = ((sorted.len() as f64 * 0.1).ceil() as usize).clamp(1, sorted.len());
         sorted[take - 1]
@@ -353,6 +361,166 @@ impl NaivePlacements {
     }
 }
 
+/// A scorer that reads item `i`'s score straight out of the parameters:
+/// `w · agg[i]`, with `w` the user embedding's one entry (1 without one).
+/// Parameter values therefore pick the scores exactly, signed zeros,
+/// infinities and NaN included. Its fictive Share-less embedding is ±1 by
+/// the parity of the target's size.
+struct LookupScorer {
+    items: u32,
+}
+
+impl RelevanceScorer for LookupScorer {
+    fn num_items(&self) -> u32 {
+        self.items
+    }
+
+    fn agg_len(&self) -> usize {
+        self.items as usize
+    }
+
+    fn user_emb_len(&self) -> usize {
+        1
+    }
+
+    fn score_items(&self, user_emb: Option<&[f32]>, agg: &[f32], out: &mut [f32]) {
+        self.score_item_range(user_emb, agg, 0, out);
+    }
+
+    fn score_item_range(&self, user_emb: Option<&[f32]>, agg: &[f32], start: u32, out: &mut [f32]) {
+        let w = user_emb.map_or(1.0, |e| e[0]);
+        for (o, &a) in out.iter_mut().zip(&agg[start as usize..]) {
+            *o = w * a;
+        }
+    }
+
+    fn train_adversary_embedding(
+        &self,
+        _agg: &[f32],
+        target_items: &[u32],
+        _warm_start: Option<&[f32]>,
+        _rng: &mut StdRng,
+    ) -> Option<Vec<f32>> {
+        Some(vec![if target_items.len().is_multiple_of(2) { 1.0 } else { -1.0 }])
+    }
+}
+
+/// Per-item values from which float sums come out differently when
+/// reordered, plus signed zeros and the non-finite values.
+const FINITE: [f32; 8] = [0.0, -0.0, 1.0, -1.0, 0.1, -0.3, 1e8, -1e8];
+const SPECIAL: [f32; 3] = [f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+
+/// One lookup model's parameters: finite mixed magnitudes, only signed
+/// zeros (so a whole target can sum to `-0.0`), or anything at all.
+fn lookup_params(rng: &mut StdRng, len: usize) -> Vec<f32> {
+    let regime = rng.gen_range(0u32..3);
+    (0..len)
+        .map(|_| match regime {
+            0 => FINITE[rng.gen_range(0..FINITE.len())],
+            1 => FINITE[rng.gen_range(0usize..2)],
+            _ if rng.gen_bool(0.3) => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+            _ => FINITE[rng.gen_range(0..FINITE.len())],
+        })
+        .collect()
+}
+
+/// Sorted, deduplicated item sets; empty and single-item targets are common.
+fn item_targets(rng: &mut StdRng, items: u32) -> Vec<Vec<u32>> {
+    (0..rng.gen_range(0usize..7))
+        .map(|_| {
+            let len = match rng.gen_range(0u32..4) {
+                0 => 0,
+                1 => 1,
+                _ => rng.gen_range(2..=items as usize * 2),
+            };
+            let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..items)).collect();
+            set.sort_unstable();
+            set.dedup();
+            set
+        })
+        .collect()
+}
+
+/// The plain definition: score the catalog (or rank it), then the mean of
+/// each target's per-item values as an iterator sum in item order.
+fn naive_relevance<S: RelevanceScorer>(
+    scorer: &S,
+    kind: RelevanceKind,
+    items: &[u32],
+    emb: Option<&[f32]>,
+    agg: &[f32],
+) -> f32 {
+    let n = scorer.num_items() as usize;
+    let mut scores = vec![0.0f32; n];
+    scorer.score_items(emb, agg, &mut scores);
+    let per_item = match kind {
+        RelevanceKind::MeanScore => scores,
+        RelevanceKind::MeanNormalizedRank => {
+            // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            order.sort_by(|&a, &b| rank_desc(&(scores[a as usize], a), &(scores[b as usize], b)));
+            let mut ranks = vec![0.0f32; n];
+            for (pos, &i) in order.iter().enumerate() {
+                ranks[i as usize] = 1.0 - pos as f32 / n as f32;
+            }
+            ranks
+        }
+    };
+    if items.is_empty() {
+        return 0.0;
+    }
+    // cia-lint: allow(D07, the reference is the plain iterator sum, in item order, by definition)
+    items.iter().map(|&i| per_item[i as usize]).sum::<f32>() / items.len() as f32
+}
+
+/// Bit equality, except that any NaN equals any NaN: NaN payloads are not
+/// part of the contract.
+fn same_bits(got: &[f32], want: &[f32]) -> bool {
+    got.len() == want.len()
+        && got
+            .iter()
+            .zip(want)
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+}
+
+/// Checks `relevance_many` over all `models` at once, and `relevance_all`
+/// per model, against the naive reference. Under Share-less the reference
+/// scores each target with its fictive embedding, and both must also equal
+/// the per-target `relevance_one` loop.
+fn check_evaluator<S: RelevanceScorer>(
+    ev: &ItemSetEvaluator<S>,
+    kind: RelevanceKind,
+    models: &[(Option<Vec<f32>>, Vec<f32>)],
+) -> Result<(), TestCaseError> {
+    let nt = ev.num_targets();
+    let pairs: Vec<(Option<&[f32]>, &[f32])> =
+        models.iter().map(|(e, a)| (e.as_deref(), a.as_slice())).collect();
+    let mut many = vec![f32::NAN; pairs.len() * nt];
+    ev.relevance_many(&pairs, &mut many);
+    for (m, &(emb, agg)) in pairs.iter().enumerate() {
+        let want: Vec<f32> = ev
+            .targets()
+            .iter()
+            .enumerate()
+            .map(|(t, items)| {
+                let emb =
+                    if ev.is_share_less() { ev.adversary_embeddings()[t].as_deref() } else { emb };
+                naive_relevance(ev.scorer(), kind, items, emb, agg)
+            })
+            .collect();
+        let mut all = vec![f32::NAN; nt];
+        ev.relevance_all(emb, agg, &mut all);
+        let row = &many[m * nt..][..nt];
+        prop_assert!(same_bits(row, &want), "relevance_many row {}: {:?} vs {:?}", m, row, want);
+        prop_assert!(same_bits(&all, &want), "relevance_all {}: {:?} vs {:?}", m, all, want);
+        if ev.is_share_less() {
+            let one: Vec<f32> = (0..nt).map(|t| ev.relevance_one(emb, agg, t)).collect();
+            prop_assert!(same_bits(row, &one), "share-less row {}: {:?} vs {:?}", m, row, one);
+        }
+    }
+    Ok(())
+}
+
 fn gossip_stats(round: u64) -> GossipRoundStats {
     GossipRoundStats { round, awake: 0, deliveries: 0, mean_loss: None, bytes_materialized: 0 }
 }
@@ -470,5 +638,47 @@ proptest! {
             oracle.end_round(round);
         }
         prop_assert_eq!(bits(engine.history()), bits(&oracle.history));
+    }
+
+    #[test]
+    fn item_set_evaluator_matches_the_naive_reference(seed in 0u64..(1 << 60)) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let items = rng.gen_range(1u32..24);
+        let targets = item_targets(&mut rng, items);
+        // Model counts up to two full blocks and a partial third.
+        let count = rng.gen_range(1..=2 * BLOCK + 1);
+        let share_less = rng.gen_bool(0.25);
+        let kind = if share_less || rng.gen_bool(0.5) {
+            RelevanceKind::MeanScore
+        } else {
+            RelevanceKind::MeanNormalizedRank
+        };
+        if rng.gen_bool(0.6) {
+            let models: Vec<_> = (0..count)
+                .map(|_| {
+                    let w = [1.0f32, -1.0, 0.5, 0.0][rng.gen_range(0usize..4)];
+                    (rng.gen_bool(0.8).then_some(vec![w]), lookup_params(&mut rng, items as usize))
+                })
+                .collect();
+            let mut ev =
+                ItemSetEvaluator::with_relevance(LookupScorer { items }, targets, share_less, kind);
+            ev.prepare(&models[0].1, seed);
+            check_evaluator(&ev, kind, &models)?;
+        } else {
+            let dim = rng.gen_range(1usize..5);
+            let spec = GmfSpec::new(items, dim, GmfHyper::default());
+            let len = RelevanceScorer::agg_len(&spec);
+            let models: Vec<_> = (0..count)
+                .map(|_| {
+                    let destroyed = rng.gen_bool(0.1);
+                    let emb: Vec<f32> = (0..dim).map(|_| level(&mut rng, destroyed)).collect();
+                    let agg: Vec<f32> = (0..len).map(|_| level(&mut rng, destroyed)).collect();
+                    (Some(emb), agg)
+                })
+                .collect();
+            let mut ev = ItemSetEvaluator::with_relevance(spec, targets, share_less, kind);
+            ev.prepare(&models[0].1, seed);
+            check_evaluator(&ev, kind, &models)?;
+        }
     }
 }

@@ -56,10 +56,9 @@ pub fn top_k_similar<'a>(
 ) -> Vec<UserId> {
     let mut scored: Vec<(f64, UserId)> =
         candidates.map(|(u, items)| (jaccard_index(target, items), u)).collect();
-    // Descending similarity; ascending id on ties.
-    scored.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0).expect("jaccard is finite").then_with(|| a.1.cmp(&b.1))
-    });
+    // Descending similarity; ascending id on ties. Jaccard indices lie in
+    // [0, 1] with no -0.0, where `total_cmp` is exactly the partial order.
+    scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
     scored.into_iter().take(k).map(|(_, u)| u).collect()
 }
 
@@ -129,9 +128,7 @@ impl GroundTruth {
                 .collect();
             // Same ordering as `top_k_similar`: descending similarity,
             // ascending id on ties.
-            scored.sort_by(|a, b| {
-                b.0.partial_cmp(&a.0).expect("jaccard is finite").then_with(|| a.1.cmp(&b.1))
-            });
+            scored.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
             scored.into_iter().take(k).map(|(_, u)| u).collect()
         });
         GroundTruth { k, communities }

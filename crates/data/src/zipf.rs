@@ -74,8 +74,9 @@ impl Zipf {
     /// Draws one rank in `0..len()`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
-        // First index whose CDF value is >= u.
-        match self.cdf.binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite")) {
+        // First index whose CDF value is >= u. The CDF lies in [0, 1] and u in
+        // [0, 1), with no NaN or -0.0, where `total_cmp` is the partial order.
+        match self.cdf.binary_search_by(|p| p.total_cmp(&u)) {
             Ok(i) => i,
             Err(i) => i.min(self.cdf.len() - 1),
         }

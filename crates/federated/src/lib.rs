@@ -694,9 +694,15 @@ impl ServerRound<'_> {
         }
         self.global_arc = Arc::new(self.global.clone());
         for &i in &self.chain {
-            let snap = self
-                .materialize
-                .then(|| std::mem::replace(&mut self.slots[i].model, empty_snap_slot()));
+            let snap = self.materialize.then(|| {
+                let mut model = std::mem::replace(&mut self.slots[i].model, empty_snap_slot());
+                // A fresh slot gets its buffer here, on the driving thread:
+                // allocated on a training worker, it would land in whichever
+                // allocator arena that worker picked up, and peak memory
+                // would vary from run to run.
+                model.agg.reserve(self.global.len().saturating_sub(model.agg.len()));
+                model
+            });
             ctx.send_at(
                 t * SLOTS_PER_ROUND + 1,
                 client_node(i),

@@ -109,6 +109,7 @@ impl ViewTable {
         // score.
         let key = |score: f32| if score.is_nan() { f32::NEG_INFINITY } else { score };
         scored.sort_by(|a, b| {
+            // cia-lint: allow(D08, key maps NaN away so the expect cannot fire; total_cmp would split +0.0/-0.0 score ties and reorder the view)
             key(b.1).partial_cmp(&key(a.1)).expect("NaN mapped away").then_with(|| a.0.cmp(&b.0))
         });
         let mut kept: Vec<u32> = Vec::with_capacity(keep);

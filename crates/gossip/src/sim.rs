@@ -183,8 +183,9 @@ struct PeerCtl {
     /// shipped to the simulation-level `heard` table via
     /// [`Msg::TrainReport`].
     heard_scratch: Vec<(u32, f32)>,
-    /// Local snapshot-carcass pool: consumed inbox buffers are recycled into
-    /// the peer's next outgoing snapshot.
+    /// Snapshot carcasses: consumed inbox buffers, recycled into the peer's
+    /// next outgoing snapshot. Between rounds [`restock_carcasses`] leaves
+    /// exactly one here.
     stash: Vec<SharedModel>,
     /// Local copy of the node's out-view (maintained by [`Msg::ViewPush`];
     /// the authoritative table stays with the coordinator's graph).
@@ -214,6 +215,9 @@ pub struct GossipSim<P: Participant> {
     /// Undelivered scheduler events carried between rounds (see
     /// [`GossipSimState::pending`]).
     pending: Vec<SavedEvent>,
+    /// Surplus snapshot carcasses collected from the peers' stashes between
+    /// rounds (see [`restock_carcasses`]).
+    spare: Vec<SharedModel>,
     /// Invoked when a round's scheduled [`Msg::GlobalBroadcast`]
     /// fires: `(round, nodes)`. The scenario runner installs per-user
     /// snapshot publication to `cia-serve` here.
@@ -271,6 +275,7 @@ impl<P: Participant> GossipSim<P> {
             traffic,
             round: 0,
             pending: Vec::new(),
+            spare: Vec::new(),
             publish_hook: None,
             obs: Recorder::new(),
         }
@@ -410,9 +415,11 @@ impl<P: Participant> GossipSim<P> {
                 transform,
                 traffic,
                 pending,
+                spare,
                 ..
             } = &mut *self;
             let nodes = store.as_dense_mut().expect("gossip stores are dense");
+            restock_carcasses(nodes, ctl, spare, t);
             let cfg = *cfg;
             let transform = transform.as_deref();
             let mut sched = Scheduler::new(policy);
@@ -553,6 +560,34 @@ fn probe_available(observer: &mut dyn GossipObserver, round: u64, node: u32) -> 
     let mut available = true;
     observer.on_liveness(LivenessEvent::Probe { round, node, available: &mut available });
     available
+}
+
+/// Leaves exactly one snapshot carcass in every peer's stash, on the driving
+/// thread before a round's scheduler starts: surplus carcasses (a peer that
+/// mixed several inbound models holds them all) move to `spare`, then every
+/// empty stash takes a spare, or a fresh snapshot when none is left.
+///
+/// The carcass population thus only grows while the models parked in
+/// inboxes outnumber the spares, and the parallel send and mix batches never
+/// allocate or free a catalog-sized buffer. Allocating and freeing them
+/// there instead put the buffers in whichever allocator arena each worker
+/// thread happened to pick up, so peak memory varied from run to run.
+fn restock_carcasses<P: Participant>(
+    nodes: &[P],
+    ctl: &mut [PeerCtl],
+    spare: &mut Vec<SharedModel>,
+    round: u64,
+) {
+    for c in ctl.iter_mut() {
+        if c.stash.len() > 1 {
+            spare.extend(c.stash.drain(1..));
+        }
+    }
+    for (node, c) in nodes.iter().zip(ctl) {
+        if c.stash.is_empty() {
+            c.stash.push(spare.pop().unwrap_or_else(|| node.snapshot(round)));
+        }
+    }
 }
 
 /// One buffered `TrainReport`: `(node, loss, heard)`.
@@ -741,6 +776,7 @@ impl<P: Participant> PeerSeat<'_, P> {
                 self.node.snapshot_into(t, &mut s);
                 s
             }
+            // Only a second send in one round (a resumed queue) gets here.
             None => self.node.snapshot(t),
         };
         if let Some(tr) = self.transform {
@@ -787,9 +823,9 @@ impl<P: Participant> PeerSeat<'_, P> {
             loss = self.node.train_local(&mut crng);
         }
         self.obs.observe_since(Metric::TrainMicros, t0);
-        // Consumed inbox buffers recycle into the local carcass stash.
+        // Consumed inbox buffers recycle into the local carcass stash (the
+        // surplus returns to the simulation's spares before the next round).
         self.ctl.stash.append(&mut self.ctl.inbox);
-        self.ctl.stash.truncate(2);
         ctx.send_at(
             ctx.now() + 1,
             HUB,
@@ -966,6 +1002,27 @@ mod tests {
                 views[sender as usize]
             );
         }
+    }
+
+    #[test]
+    fn snapshot_carcasses_are_recycled_not_reallocated() {
+        // Every node wakes, so every carcass sent in a round is mixed and
+        // stashed by its receiver within that round: once each node holds
+        // one, restocking only moves carcasses and the population stays at
+        // one per node.
+        let n = 20;
+        let mut s = sim(n, GossipConfig { rounds: 6, seed: 4, ..Default::default() });
+        let mut rec = Recorder::default();
+        for _ in 0..6 {
+            s.step(&mut rec);
+            let stashed: usize = s.ctl.iter().map(|c| c.stash.len()).sum();
+            assert!(s.ctl.iter().all(|c| c.inbox.is_empty()));
+            assert_eq!(stashed + s.spare.len(), n, "round {}", s.round);
+        }
+        let nodes = s.store.as_dense_mut().expect("gossip stores are dense");
+        restock_carcasses(nodes, &mut s.ctl, &mut s.spare, s.round);
+        assert!(s.ctl.iter().all(|c| c.stash.len() == 1));
+        assert!(s.spare.is_empty());
     }
 
     #[test]

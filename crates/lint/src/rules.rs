@@ -1,7 +1,7 @@
 //! The rule engine: determinism & safety invariants as machine-checked
 //! rules over the token stream.
 //!
-//! Every rule carries a stable ID (`D01`–`D07`), fires span-accurate
+//! Every rule carries a stable ID (`D01`–`D08`), fires span-accurate
 //! diagnostics, and honors the allow-comment escape hatch:
 //!
 //! ```text
@@ -33,6 +33,7 @@ pub const RULES: &[(&str, &str)] = &[
     ("D05", "narrowing `as` cast to a small integer type"),
     ("D06", "std::thread::spawn outside the parallel module and cia-serve"),
     ("D07", "float .sum::<f32/f64>() over an iterator in a deterministic-path crate"),
+    ("D08", "partial_cmp(..).unwrap()/.expect(..) inside a sort_by/max_by/min_by comparator"),
     ("L00", "malformed cia-lint allow comment (missing reason or unknown rule)"),
     ("L01", "allow comment that suppresses no violation"),
 ];
@@ -40,7 +41,7 @@ pub const RULES: &[(&str, &str)] = &[
 /// One finding: rule, location, and a human-readable message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable rule ID (`D01`…`D07`, `L00`, `L01`).
+    /// Stable rule ID (`D01`…`D08`, `L00`, `L01`).
     pub rule: &'static str,
     /// 1-indexed line of the offending token.
     pub line: usize,
@@ -123,6 +124,7 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
     let mut raw = Vec::new();
     check_determinism_rules(&class, src, &code, &mut raw);
     check_safety_comments(&class, src, &code, &comments, &mut raw);
+    check_nan_comparators(src, &code, &mut raw);
 
     // Match raw violations against allows; an allow fires for its rule on
     // its target line and may cover several violations there (one comment
@@ -416,6 +418,74 @@ fn check_safety_comments(
     }
 }
 
+/// Methods whose closure argument is a comparator: a panic inside it takes
+/// the whole sort, search or selection down.
+const COMPARATOR_METHODS: &[&str] =
+    &["sort_by", "sort_unstable_by", "max_by", "min_by", "binary_search_by"];
+
+/// Index of the `)` closing the `(` at `code[open]`, if the file has one.
+fn matching_paren(code: &[&Token], src: &str, open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (j, t) in code.iter().enumerate().skip(open) {
+        match t.text(src) {
+            "(" => depth += 1,
+            ")" => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(j);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// D08 — `partial_cmp(..).unwrap()` or `.expect(..)` inside the argument
+/// list of a comparator method (`.sort_by(`, `.max_by(`, …) panics on the
+/// first NaN it compares. Fires on the `partial_cmp` token, once per call.
+fn check_nan_comparators(
+    src: &str,
+    code: &[&Token],
+    out: &mut Vec<(&'static str, usize, usize, String)>,
+) {
+    let text = |i: usize| code.get(i).map_or("", |t| t.text(src));
+    for (i, tok) in code.iter().enumerate() {
+        let method = tok.text(src);
+        if tok.kind != TokenKind::Ident
+            || !COMPARATOR_METHODS.contains(&method)
+            || text(i.wrapping_sub(1)) != "."
+            || text(i + 1) != "("
+        {
+            continue;
+        }
+        let Some(close) = matching_paren(code, src, i + 1) else { continue };
+        for p in i + 2..close {
+            if text(p) != "partial_cmp" || text(p + 1) != "(" {
+                continue;
+            }
+            let Some(end) = matching_paren(code, src, p + 1) else { continue };
+            let unwrapped = text(end + 1) == "." && matches!(text(end + 2), "unwrap" | "expect");
+            // A comparator nested in another one is found from both calls.
+            let seen =
+                out.iter().any(|d| d.0 == "D08" && (d.1, d.2) == (code[p].line, code[p].col));
+            if unwrapped && !seen {
+                out.push((
+                    "D08",
+                    code[p].line,
+                    code[p].col,
+                    format!(
+                        "`partial_cmp(..).{}` inside `{method}`: the comparator panics on NaN — \
+                         use `total_cmp` where the order cannot change, or map NaN away and \
+                         allowlist with the reason",
+                        text(end + 2)
+                    ),
+                ));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -549,5 +619,28 @@ mod tests {
     fn one_allow_covers_all_same_rule_hits_on_its_line() {
         let src = "fn f(x: u64, y: u64) -> (u32, u32) { (x as u32, y as u32) } // cia-lint: allow(D05, both bounded by n < 2^32)";
         assert_eq!(rules_at("src/lib.rs", src), []);
+    }
+
+    #[test]
+    fn d08_fires_on_unwrapped_partial_cmp_inside_comparators() {
+        let src = "fn f(v: &mut [f32]) {\n v.sort_by(|a, b| a.partial_cmp(b).unwrap());\n}";
+        assert_eq!(rules_at("crates/data/src/x.rs", src), [("D08", 2)]);
+        let multi = "fn f(v: &[(f32, u32)]) {\n v.iter().max_by(|a, b| {\n  a.0\n   .partial_cmp(&b.0)\n   .expect(\"finite\")\n });\n}";
+        assert_eq!(rules_at("src/lib.rs", multi), [("D08", 4)]);
+        // Nested comparators: one diagnostic, though both calls contain it.
+        let nested = "fn f(v: &mut [Vec<f32>]) { v.sort_by(|a, b| a.iter().max_by(|x, y| x.partial_cmp(y).unwrap()).cmp(&b.first())); }";
+        assert_eq!(rules_at("src/lib.rs", nested), [("D08", 1)]);
+    }
+
+    #[test]
+    fn d08_ignores_safe_comparators_and_bare_partial_cmp() {
+        for src in [
+            "fn f(v: &mut [f32]) { v.sort_by(|a, b| a.total_cmp(b)); }",
+            "fn f(v: &mut [f32]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Equal)); }",
+            "fn f(a: f32, b: f32) -> Ordering { a.partial_cmp(&b).unwrap() }",
+            "fn f(v: &mut [f32]) { v.sort_by(cmp); let o = a.partial_cmp(&b).unwrap(); }",
+        ] {
+            assert_eq!(rules_at("crates/core/src/x.rs", src), [], "{src}");
+        }
     }
 }

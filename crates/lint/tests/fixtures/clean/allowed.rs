@@ -33,3 +33,10 @@ fn total(xs: &[f32]) -> f32 {
     // cia-lint: allow(D07, sequential left-to-right fold over a slice in index order)
     xs.iter().sum::<f32>()
 }
+
+fn sort_desc(xs: &mut [f32]) {
+    xs.sort_by(|a, b| {
+        // cia-lint: allow(D08, NaN is filtered out by the caller before sorting)
+        b.partial_cmp(a).expect("finite")
+    });
+}

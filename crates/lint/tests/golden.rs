@@ -66,6 +66,14 @@ fn bad_unsafe_block_without_safety_comment_fires_d04() {
 }
 
 #[test]
+fn bad_nan_comparators_fire_d08_at_the_partial_cmp() {
+    let src = fixture("bad/nan_comparator.rs");
+    // D08 applies everywhere, deterministic path or not.
+    let got = fired("crates/data/src/fixture.rs", &src);
+    assert_eq!(got, vec![("D08".to_string(), 4), ("D08".to_string(), 9)]);
+}
+
+#[test]
 fn bad_allow_comments_fire_the_meta_rules() {
     let src = fixture("bad/stale_allow.rs");
     let got = fired("crates/core/src/fixture.rs", &src);
@@ -93,19 +101,20 @@ fn clean_safety_fixture_accepts_both_safety_comment_shapes() {
 
 #[test]
 fn every_d_rule_has_a_pinned_true_positive() {
-    // Union of the fixture expectations above must cover D01–D07 — the
+    // Union of the fixture expectations above must cover D01–D08 — the
     // acceptance bar for this suite. Recomputed here so a fixture edit
     // that silently drops a rule fails loudly.
     let mut seen: Vec<String> = Vec::new();
     for (path, name) in [
         ("crates/core/src/fixture.rs", "bad/determinism.rs"),
         ("crates/data/src/fixture.rs", "bad/unsafe_block.rs"),
+        ("crates/data/src/fixture.rs", "bad/nan_comparator.rs"),
     ] {
         for d in lint_source(path, &fixture(name)) {
             seen.push(d.rule.to_string());
         }
     }
-    for rule in ["D01", "D02", "D03", "D04", "D05", "D06", "D07"] {
+    for rule in ["D01", "D02", "D03", "D04", "D05", "D06", "D07", "D08"] {
         assert!(seen.iter().any(|r| r == rule), "no fixture true-positive for {rule}");
     }
 }

@@ -264,6 +264,7 @@ impl Mlp {
         logits
             .iter()
             .enumerate()
+            // cia-lint: allow(D08, a NaN logit has no class to predict and panicking says so; total_cmp would resolve +0.0/-0.0 logit ties the other way)
             .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
             .map(|(i, _)| i)
             .expect("non-empty output")
