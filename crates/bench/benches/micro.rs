@@ -9,12 +9,12 @@ use cia_core::{CiaConfig, FlCia, ItemSetEvaluator};
 use cia_data::presets::{Preset, Scale};
 use cia_data::{jaccard_index, GroundTruth, LeaveOneOut, UserId};
 use cia_defenses::{DpConfig, DpMechanism, UpdateTransform};
-use cia_federated::{FedAvg, FedAvgConfig, NullObserver, RoundObserver};
+use cia_federated::{fold_updates, FedAvg, FedAvgConfig, NullObserver, RoundObserver};
 use cia_gossip::{GossipConfig, GossipSim, NullGossipObserver};
 use cia_models::params::{clip_l2, ema, sigmoid};
 use cia_models::{
-    kernel, ClientStore, GmfClient, GmfHyper, GmfSpec, Mlp, MlpHyper, MlpSpec, RelevanceScorer,
-    SharingPolicy,
+    kernel, ClientStore, GmfClient, GmfHyper, GmfSpec, Mlp, MlpHyper, MlpSpec, Participant,
+    RelevanceScorer, SharingPolicy,
 };
 use cia_scenarios::runner::gmf_scorer;
 use cia_scenarios::{DynamicsSpec, FlDynamics, ParticipantDynamics};
@@ -444,6 +444,45 @@ fn bench_attack_eval(c: &mut Criterion) {
     // Smoke-size twin of `cia_fl_eval_paper_943x1682`: three full blocks of
     // momentum models through the blocked relevance path.
     bench_fl_eval(c, "cia_fl_eval_48_users", Scale::Smoke, 20, 5);
+    // Smoke-size twin of `fedavg_fold_paper_943x13464`.
+    bench_fold(c, "fedavg_fold_48_clients", Scale::Smoke, 20);
+}
+
+/// Times the FedAvg server's fold alone: every client absorbs one global
+/// and trains the paper's 2 local epochs, then each timed iteration zeroes
+/// the accumulator and folds all clients' weighted updates into it with
+/// `fold_updates` (one accumulator window per `CIA_THREADS` worker).
+fn bench_fold(c: &mut Criterion, name: &str, scale: Scale, negatives: usize) {
+    let data = Preset::MovieLens.generate(scale, 3);
+    let split = LeaveOneOut::new(&data, negatives, 3).unwrap();
+    let spec = GmfSpec::new(data.num_items(), 8, GmfHyper::default());
+    let global = spec.init_agg(&mut StdRng::seed_from_u64(3));
+    let clients: Vec<GmfClient> = split
+        .train_sets()
+        .iter()
+        .enumerate()
+        .map(|(u, items)| {
+            // cia-lint: allow(D05, test/bench populations are tiny; ids fit u32 with orders of magnitude to spare)
+            let id = UserId::new(u as u32);
+            let mut client = spec.build_client(id, items.clone(), SharingPolicy::Full, u as u64);
+            client.absorb_agg(&global);
+            let mut rng = StdRng::seed_from_u64(u as u64);
+            for _ in 0..2 {
+                client.train_local(&mut rng);
+            }
+            client
+        })
+        .collect();
+    let total: f32 = clients.iter().map(|c| c.num_examples().max(1) as f32).sum();
+    let cohort: Vec<(&GmfClient, f32)> =
+        clients.iter().map(|c| (c, c.num_examples().max(1) as f32 / total)).collect();
+    let mut acc = vec![0.0f32; global.len()];
+    c.bench_function(name, |b| {
+        b.iter(|| {
+            acc.fill(0.0);
+            fold_updates(&mut acc, &global, &cohort);
+        });
+    });
 }
 
 /// Times one `MomentumCia` evaluation (score every observed momentum model
@@ -588,6 +627,9 @@ fn bench_paper_scale(c: &mut Criterion) {
         emit_mix_hist_rows(&format!("gossip_round_paper_943x1682{t}"), &rec);
         emit_phase_rows(&format!("gossip_round_paper_943x1682{t}"), &rec, PHASE_ROUNDS);
     }
+    // The FedAvg server's fold of 943 trained GMF clients (13464 = 1683
+    // rows of 8 parameters: the item embeddings and `h`).
+    bench_fold(c, &format!("fedavg_fold_paper_943x13464{t}"), Scale::Paper, 100);
     // One attack evaluation over all 943 momentum models (k = 50, the
     // paper's community size): the attack half of an evaluating FL round.
     bench_fl_eval(c, &format!("cia_fl_eval_paper_943x1682{t}"), Scale::Paper, 100, 50);

@@ -14,7 +14,7 @@ use crate::momentum::MomentumState;
 use cia_data::UserId;
 use cia_federated::{RoundObserver, RoundStats};
 use cia_gossip::{GossipObserver, GossipRoundStats};
-use cia_models::parallel::{par_chunks_mut, par_map};
+use cia_models::parallel::{par_chunks_mut, par_for_each_mut, par_map};
 use cia_models::SharedModel;
 use cia_obs::Recorder;
 use cia_runtime::{Checkpointable, LivenessEvent};
@@ -348,6 +348,42 @@ impl<E: RelevanceEvaluator> RoundObserver for MomentumCia<E> {
         fold(&mut self.momentum[model.owner.index()], self.cfg.beta, model);
     }
 
+    /// Folds a round's uploads in one pass. Momentum is keyed by sender and
+    /// each EMA is independent, so the senders' slots update in parallel;
+    /// one sender's models keep their batch order. First observations (which
+    /// allocate) and every layout check run on the driving thread first.
+    fn on_client_models(&mut self, models: &[&SharedModel]) {
+        let _update = self.obs.span("attack_update");
+        let beta = self.cfg.beta;
+        // A stable sort: senders ascending, each sender's models in order.
+        let mut order: Vec<usize> = (0..models.len()).collect();
+        order.sort_by_key(|&i| models[i].owner.index());
+        let mut slots = self.momentum.iter_mut().enumerate();
+        let mut jobs: Vec<(&mut MomentumState, &[usize])> = Vec::new();
+        for run in order.chunk_by(|&a, &b| models[a].owner == models[b].owner) {
+            let first = models[run[0]];
+            let (_, slot) = slots
+                .find(|&(u, _)| u == first.owner.index())
+                .expect("sender ids lie within the population");
+            let mut skip = 0;
+            if slot.is_none() {
+                *slot = Some(MomentumState::from_snapshot(first));
+                skip = 1;
+            }
+            let state = slot.as_mut().expect("observed above");
+            let rest = &run[skip..];
+            rest.iter().for_each(|&i| state.check_layout(models[i]));
+            if !rest.is_empty() {
+                jobs.push((state, rest));
+            }
+        }
+        par_for_each_mut(&mut jobs, |_, (state, batch)| {
+            for &i in *batch {
+                state.update(beta, models[i]);
+            }
+        });
+    }
+
     fn on_round_end(&mut self, stats: &RoundStats) {
         self.end_round(stats.round);
     }
@@ -627,6 +663,135 @@ mod tests {
             };
             assert_eq!(bits, want, "user {u}");
         }
+    }
+
+    /// A small attack over `users` senders with random GMF-shaped models.
+    fn batch_fixture(users: usize) -> (FlCia<ItemSetEvaluator<GmfSpec>>, GmfSpec) {
+        let spec = GmfSpec::new(30, 4, GmfHyper::default());
+        let targets = vec![vec![0, 3, 7], vec![29], vec![1, 2, 5, 8, 13, 21]];
+        let evaluator = ItemSetEvaluator::new(spec.clone(), targets, false);
+        let cfg = CiaConfig { k: 3, beta: 0.9, eval_every: 1, seed: 0 };
+        (FlCia::new(cfg, evaluator, users, vec![vec![]; 3], vec![None; 3]), spec)
+    }
+
+    fn momentum_bits(attack: &FlCia<ItemSetEvaluator<GmfSpec>>) -> Vec<Option<(Vec<u32>, u64)>> {
+        attack
+            .momentum
+            .iter()
+            .map(|m| {
+                m.as_ref().map(|m| {
+                    let emb = m.emb().into_iter().flatten();
+                    (emb.chain(m.agg()).map(|x| x.to_bits()).collect(), m.updates())
+                })
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_uploads_fold_like_one_at_a_time() {
+        use rand::{Rng, SeedableRng};
+        let users = 37;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let (_, spec) = batch_fixture(users);
+        let agg_len = cia_models::RelevanceScorer::agg_len(&spec);
+        // Four rounds of uploads. Senders join over time, so most batches
+        // mix first observations with re-observed senders; a few senders
+        // appear twice in one batch, out of id order.
+        let rounds: Vec<Vec<SharedModel>> = (0..4u64)
+            .map(|round| {
+                let senders: Vec<usize> = (0..users)
+                    .filter(|&u| u < 10 * (round as usize + 1) && rng.gen_bool(0.7))
+                    .chain([3, 20])
+                    .collect();
+                let mut batch: Vec<SharedModel> = senders
+                    .into_iter()
+                    .map(|u| SharedModel {
+                        // cia-lint: allow(D05, ids and indices are bounded by the validated population/catalog size, which fits u32)
+                        owner: UserId::new(u as u32),
+                        round,
+                        owner_emb: Some((0..4).map(|_| rng.gen::<f32>() - 0.5).collect()),
+                        agg: (0..agg_len).map(|_| rng.gen::<f32>() - 0.5).collect(),
+                    })
+                    .collect();
+                batch.swap(0, 1);
+                batch
+            })
+            .collect();
+        let (mut looped, _) = batch_fixture(users);
+        for (round, batch) in rounds.iter().enumerate() {
+            batch.iter().for_each(|m| looped.on_client_model(m));
+            let stats = RoundStats {
+                round: round as u64,
+                participants: 0,
+                mean_loss: None,
+                bytes_materialized: 0,
+            };
+            RoundObserver::on_round_end(&mut looped, &stats);
+        }
+        for threads in ["1", "2", "4"] {
+            std::env::set_var("CIA_THREADS", threads);
+            let (mut batched, _) = batch_fixture(users);
+            for (round, batch) in rounds.iter().enumerate() {
+                batched.on_client_models(&batch.iter().collect::<Vec<_>>());
+                let stats = RoundStats {
+                    round: round as u64,
+                    participants: 0,
+                    mean_loss: None,
+                    bytes_materialized: 0,
+                };
+                RoundObserver::on_round_end(&mut batched, &stats);
+            }
+            assert_eq!(momentum_bits(&batched), momentum_bits(&looped), "CIA_THREADS={threads}");
+            assert_eq!(batched.senders_seen(), looped.senders_seen());
+            let history = |a: &FlCia<_>| -> Vec<_> {
+                a.history()
+                    .iter()
+                    .map(|p| (p.round, p.aac.to_bits(), p.upper_bound.to_bits()))
+                    .collect()
+            };
+            assert_eq!(history(&batched), history(&looped), "CIA_THREADS={threads}");
+        }
+        std::env::remove_var("CIA_THREADS");
+    }
+
+    #[test]
+    fn a_batch_opens_one_update_span_on_the_driving_thread() {
+        let (mut attack, spec) = batch_fixture(4);
+        let rec = Recorder::new();
+        rec.set_detail(true);
+        attack.set_recorder(rec.clone());
+        let agg_len = cia_models::RelevanceScorer::agg_len(&spec);
+        let models: Vec<SharedModel> = (0..4)
+            .map(|u| SharedModel {
+                owner: UserId::new(u),
+                round: 0,
+                owner_emb: Some(vec![0.5; 4]),
+                agg: vec![0.25; agg_len],
+            })
+            .collect();
+        let refs: Vec<&SharedModel> = models.iter().collect();
+        attack.on_client_models(&refs);
+        attack.on_client_models(&refs);
+        let spans = rec.drain().spans;
+        assert_eq!(spans.len(), 2, "one attack_update span per batch");
+        assert!(spans.iter().all(|s| s.name == "attack_update"));
+        assert!(momentum_bits(&attack).iter().flatten().all(|(_, updates)| *updates == 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "sharing policy changed mid-attack")]
+    fn a_batch_rejects_a_sharing_policy_change() {
+        let (mut attack, spec) = batch_fixture(2);
+        let agg_len = cia_models::RelevanceScorer::agg_len(&spec);
+        let full = SharedModel {
+            owner: UserId::new(1),
+            round: 0,
+            owner_emb: Some(vec![0.5; 4]),
+            agg: vec![0.25; agg_len],
+        };
+        let share_less = SharedModel { owner_emb: None, round: 1, ..full.clone() };
+        attack.on_client_models(&[&full]);
+        attack.on_client_models(&[&share_less]);
     }
 
     #[test]

@@ -36,13 +36,28 @@ impl MomentumState {
     ///
     /// Panics if the snapshot's layout differs from the state's.
     pub fn update(&mut self, beta: f32, model: &SharedModel) {
+        self.check_layout(model);
         ema(&mut self.agg, beta, &model.agg);
-        match (&mut self.emb, &model.owner_emb) {
-            (Some(v), Some(m)) => ema(v, beta, m),
+        if let (Some(v), Some(m)) = (&mut self.emb, &model.owner_emb) {
+            ema(v, beta, m);
+        }
+        self.updates += 1;
+    }
+
+    /// The layout checks [`MomentumState::update`] makes before it folds
+    /// `model` in, on their own: batched folds run them on the driving
+    /// thread, so a mismatch panics there with its own message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot's layout differs from the state's.
+    pub(crate) fn check_layout(&self, model: &SharedModel) {
+        assert_eq!(self.agg.len(), model.agg.len(), "ema length mismatch");
+        match (&self.emb, &model.owner_emb) {
+            (Some(v), Some(m)) => assert_eq!(v.len(), m.len(), "ema length mismatch"),
             (None, None) => {}
             _ => panic!("sharing policy changed mid-attack"),
         }
-        self.updates += 1;
     }
 
     /// The averaged owner embedding (if shared).

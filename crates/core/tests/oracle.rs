@@ -4,8 +4,9 @@
 //! momentum per sender updated as `β·v + (1−β)·θ`, a toy relevance
 //! evaluator, a full `sort_by(rank_desc)` ranking, and accuracy and bounds
 //! computed by hand. The optimized engines must record exactly its history,
-//! bit for bit, in three roles: the FL server observing uploads, a gossip
-//! coalition that relocates once mid-run, and the all-placements sweep.
+//! bit for bit, in three roles: the FL server observing uploads (one at a
+//! time, and in one batch per round), a gossip coalition that relocates once
+//! mid-run, and the all-placements sweep.
 //! Coarse parameter levels make exact score ties common, and some models
 //! are destroyed (all NaN).
 //!
@@ -537,27 +538,43 @@ proptest! {
             inst.truths.clone(),
             inst.owners.clone(),
         );
+        // The same engine fed each round's uploads in one batch, as a dense
+        // FedAvg round delivers them.
+        let mut batched = MomentumCia::new(
+            inst.cfg,
+            inst.evaluator.clone(),
+            inst.n,
+            inst.truths.clone(),
+            inst.owners.clone(),
+        );
         let mut oracle = NaiveCia::new(&inst);
         for round in 0..rng.gen_range(1u64..8) {
             let mut mask = live_mask(&mut rng, inst.n);
             oracle.live = mask.clone();
-            RoundObserver::on_liveness(&mut engine, LivenessEvent::ActingSet { round, mask: &mut mask });
+            RoundObserver::on_liveness(&mut engine, LivenessEvent::ActingSet { round, mask: &mut mask.clone() });
+            RoundObserver::on_liveness(&mut batched, LivenessEvent::ActingSet { round, mask: &mut mask });
             let global = params(&mut rng, inst.dim);
             engine.on_global(round, &global);
+            batched.on_global(round, &global);
             oracle.reference = Some(global);
             // Uploads arrive in user-id order; some rounds see nobody.
+            let mut uploads = Vec::new();
             for u in 0..inst.n {
                 if rng.gen_bool(0.5) {
                     let m = model(&mut rng, &inst, u, round);
                     engine.on_client_model(&m);
                     oracle.observe(&m);
+                    uploads.push(m);
                 }
             }
+            batched.on_client_models(&uploads.iter().collect::<Vec<_>>());
             let stats = RoundStats { round, participants: 0, mean_loss: None, bytes_materialized: 0 };
             RoundObserver::on_round_end(&mut engine, &stats);
+            RoundObserver::on_round_end(&mut batched, &stats);
             oracle.end_round(round);
         }
         prop_assert_eq!(bits(engine.history()), bits(&oracle.history));
+        prop_assert_eq!(bits(batched.history()), bits(&oracle.history));
     }
 
     #[test]

@@ -148,6 +148,17 @@ pub trait RoundObserver {
         let _ = model;
     }
 
+    /// Called once per round with every received client model, in user-id
+    /// order (dense rounds; sharded rounds observe one model at a time). The
+    /// default hands each model to [`RoundObserver::on_client_model`];
+    /// observers override it to fold the batch at once, and must end in the
+    /// state that loop would leave.
+    fn on_client_models(&mut self, models: &[&SharedModel]) {
+        for model in models {
+            self.on_client_model(model);
+        }
+    }
+
     /// Whether this observer consumes [`RoundObserver::on_client_model`].
     /// Observers that don't (e.g. [`NullObserver`] in utility-only runs and
     /// round benchmarks) should return `false`: the protocol then skips
@@ -510,18 +521,21 @@ impl<P: Participant> FedAvg<P> {
     ///   global, train on their own RNG streams and snapshot (or run the DP
     ///   transform) in parallel over `CIA_THREADS`, each replying with a
     ///   [`Msg::ModelUpdate`];
-    /// * slot 2 — the shared sparse accumulator travels a [`Msg::Fold`]
-    ///   chain with one link in flight, in ascending client index order:
-    ///   each client folds `w̃ᵢ · (aggᵢ − global)` over the parameters its
-    ///   training touched;
-    /// * slot 3 — the `RoundEnd` timer observes, aggregates and evaluates,
-    ///   then schedules [`Msg::GlobalBroadcast`].
+    /// * fold — once slot 1 drains, the server folds `w̃ᵢ · (aggᵢ − global)`
+    ///   of every sampled client into its accumulator with
+    ///   [`fold_updates`]: one disjoint window of the accumulator per
+    ///   worker, each walking the clients in ascending index order through
+    ///   [`Participant::accumulate_update_rows`] (DP rounds skip it: they
+    ///   aggregate the transformed snapshots);
+    /// * slot 3 — the `RoundEnd` timer hands the round's snapshots to the
+    ///   observer in one [`RoundObserver::on_client_models`] call,
+    ///   aggregates and evaluates, then schedules [`Msg::GlobalBroadcast`].
     ///
     /// The batch contract (see the `cia_runtime` crate docs) makes the
     /// parallel slot deliver exactly what one-at-a-time delivery would, and
-    /// training draws nothing from the fold, so the fold runs the float
-    /// operations of the fused serial round in the same order: every
-    /// thread count and every [`DeliveryPolicy`] produces the same bytes.
+    /// every accumulator element receives the same additions in the same
+    /// client order as a serial fold, so every thread count and every
+    /// [`DeliveryPolicy`] produces the same bytes.
     ///
     /// Sharded stores run `step_sharded`, the lazy shared-workspace round
     /// (see [`FedAvg::sharded`]), which is bit-identical to this dense round.
@@ -563,8 +577,7 @@ impl<P: Participant> FedAvg<P> {
                 obs: obs.clone(),
                 dp: transform.is_some(),
                 materialize: false,
-                chain: Vec::new(),
-                next: 0,
+                cohort: Vec::new(),
                 total: 0.0,
                 global_arc: Arc::new(Vec::new()),
                 bytes0,
@@ -585,10 +598,11 @@ impl<P: Participant> FedAvg<P> {
             sched.timer_at(base, HUB, Msg::RoundStart { round: t });
             sched.timer_at(base + 3, HUB, Msg::RoundEnd { round: t });
             sched.run_until(base, &mut server, &mut seats);
-            // Training (slot 1) and the fold chain (slot 2) — one "train"
-            // span covers both, as it covered the fused per-client round.
+            // Training (slot 1) and the fold — one "train" span covers
+            // both, as it covered the fused per-client round.
             let train_span = obs.span("train");
-            sched.run_until(base + 2, &mut server, &mut seats);
+            sched.run_until(base + 1, &mut server, &mut seats);
+            server.fold(&seats);
             drop(train_span);
             sched.run_until(base + 3, &mut server, &mut seats);
             debug_assert_eq!(sched.pending_len(), 0, "FL rounds drain their queue");
@@ -625,10 +639,8 @@ struct ServerRound<'a> {
     obs: Recorder,
     dp: bool,
     materialize: bool,
-    /// Sampled client indices in fold (index) order.
-    chain: Vec<usize>,
-    /// Next chain position to fold.
-    next: usize,
+    /// Sampled client indices in ascending (fold) order.
+    cohort: Vec<usize>,
     total: f32,
     global_arc: Arc<Vec<f32>>,
     bytes0: u64,
@@ -651,22 +663,6 @@ fn client_node(i: usize) -> NodeId {
 }
 
 impl ServerRound<'_> {
-    /// Sends the accumulator to the chain's next client for its fold.
-    fn fold_next(&mut self, round: u64, acc: Vec<f32>, ctx: &mut Ctx<'_>) {
-        let i = self.chain[self.next];
-        self.next += 1;
-        ctx.send_at(
-            ctx.now().max(round * SLOTS_PER_ROUND + 2),
-            client_node(i),
-            Msg::Fold {
-                round,
-                weight: self.weights[i] / self.total,
-                global: Arc::clone(&self.global_arc),
-                acc,
-            },
-        );
-    }
-
     fn round_start(&mut self, t: u64, ctx: &mut Ctx<'_>) {
         let n = self.slots.len();
         let sample_span = self.obs.span("sample");
@@ -687,13 +683,12 @@ impl ServerRound<'_> {
         self.total = self.weights.iter().zip(&sampled).filter(|&(_, &s)| s).map(|(&w, _)| w).sum();
         self.acc.resize(self.global.len(), 0.0);
         self.acc.fill(0.0);
-        self.chain = sampled.iter().enumerate().filter(|&(_, &s)| s).map(|(i, _)| i).collect();
-        self.next = 0;
-        if self.chain.is_empty() {
+        self.cohort = sampled.iter().enumerate().filter(|&(_, &s)| s).map(|(i, _)| i).collect();
+        if self.cohort.is_empty() {
             return; // The already-scheduled RoundEnd closes the round.
         }
         self.global_arc = Arc::new(self.global.clone());
-        for &i in &self.chain {
+        for &i in &self.cohort {
             let snap = self.materialize.then(|| {
                 let mut model = std::mem::replace(&mut self.slots[i].model, empty_snap_slot());
                 // A fresh slot gets its buffer here, on the driving thread:
@@ -714,11 +709,6 @@ impl ServerRound<'_> {
                 },
             );
         }
-        // Weights are at least 1, so a non-empty chain has `total > 0`.
-        if !self.dp {
-            let acc = std::mem::take(self.acc);
-            self.fold_next(t, acc, ctx);
-        }
     }
 
     fn on_update(&mut self, client: u32, loss: f32, snap: Option<SharedModel>) {
@@ -729,12 +719,21 @@ impl ServerRound<'_> {
         }
     }
 
-    fn on_fold(&mut self, round: u64, acc: Vec<f32>, ctx: &mut Ctx<'_>) {
-        if self.next < self.chain.len() {
-            self.fold_next(round, acc, ctx);
-        } else {
-            *self.acc = acc;
+    /// Folds every sampled client's weighted update into the accumulator
+    /// (see [`fold_updates`]) once training has drained. DP rounds skip it:
+    /// they aggregate the transformed snapshots instead.
+    fn fold<P: Participant>(&mut self, seats: &[ClientSeat<'_, P>]) {
+        if self.dp || self.cohort.is_empty() {
+            return;
         }
+        let _fold = self.obs.span("fold");
+        // Weights are at least 1, so a non-empty cohort has `total > 0`.
+        let cohort: Vec<(&P, f32)> = self
+            .cohort
+            .iter()
+            .map(|&i| (&*seats[i].client, self.weights[i] / self.total))
+            .collect();
+        fold_updates(self.acc, self.global, &cohort);
     }
 
     fn round_end(&mut self, t: u64, ctx: &mut Ctx<'_>) {
@@ -744,15 +743,17 @@ impl ServerRound<'_> {
         let attack_span = self.obs.span("attack");
         let mut loss_sum = 0.0f32;
         let mut participants = 0usize;
-        for slot in self.slots.iter() {
-            if slot.sampled {
-                if self.materialize {
-                    self.observer.on_client_model(&slot.model);
-                    self.obs.add(Counter::BytesMaterialized, 4 * slot.model.len() as u64);
-                }
-                loss_sum += slot.loss;
-                participants += 1;
+        let mut models: Vec<&SharedModel> = Vec::new();
+        for slot in self.slots.iter().filter(|slot| slot.sampled) {
+            if self.materialize {
+                self.obs.add(Counter::BytesMaterialized, 4 * slot.model.len() as u64);
+                models.push(&slot.model);
             }
+            loss_sum += slot.loss;
+            participants += 1;
+        }
+        if !models.is_empty() {
+            self.observer.on_client_models(&models);
         }
         drop(attack_span);
         self.obs.add(Counter::ClientsTrained, participants as u64);
@@ -761,8 +762,7 @@ impl ServerRound<'_> {
         let aggregate_span = self.obs.span("aggregate");
         if participants > 0 {
             if !self.dp {
-                // Sparse path: every client folded `w̃ᵢ · (aggᵢ − global)`
-                // over only the parameters its local training touched into
+                // The fold added every client's `w̃ᵢ · (aggᵢ − global)` into
                 // `acc`, in client index order (Σ w̃ᵢ = 1, so
                 // `global + Σ w̃ᵢ·(aggᵢ − global) = Σ w̃ᵢ·aggᵢ`).
                 for (g, a) in self.global.iter_mut().zip(self.acc.iter()) {
@@ -838,7 +838,6 @@ impl Node for ServerRound<'_> {
     fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
         match msg {
             Msg::ModelUpdate { client, loss, snap, .. } => self.on_update(client, loss, snap),
-            Msg::Fold { round, acc, .. } => self.on_fold(round, acc, ctx),
             Msg::GlobalBroadcast { .. } => *self.publish = true,
             Msg::RoundStart { round } => self.round_start(round, ctx),
             Msg::RoundEnd { round } => self.round_end(round, ctx),
@@ -851,10 +850,6 @@ impl<P: Participant> Node for ClientSeat<'_, P> {
     fn on_message(&mut self, msg: Msg, ctx: &mut Ctx<'_>) {
         match msg {
             Msg::TrainRequest { round, global, snap, .. } => self.train(round, &global, snap, ctx),
-            Msg::Fold { round, weight, global, mut acc } => {
-                self.client.accumulate_update(&global, weight, &mut acc);
-                ctx.send(HUB, Msg::Fold { round, weight, global, acc });
-            }
             other => unreachable!("{} is not addressed to an FL client", other.label()),
         }
     }
@@ -882,6 +877,32 @@ fn sample_participants(n: usize, cfg: &FedAvgConfig, t: u64) -> Vec<bool> {
         mask[i] = true;
     }
     mask
+}
+
+/// Folds `Σ wᵢ · (aggᵢ − reference)` over `cohort` (clients with their
+/// normalized weights, in ascending index order) into `acc`: the FedAvg
+/// server's aggregation step. `acc` is split into one disjoint window per
+/// `CIA_THREADS` worker, a multiple of 16 floats long (so windows start on
+/// a row boundary for the usual embedding widths 8 and 16), and each worker
+/// walks the whole cohort in order through
+/// [`Participant::accumulate_update_rows`] for its window alone. Every
+/// element therefore receives the same additions, in the same client order,
+/// as one [`Participant::accumulate_update`] per client would make: the
+/// result is bit-identical at any thread count.
+///
+/// # Panics
+///
+/// Panics if a client's parameter layout differs from `reference` or `acc`.
+pub fn fold_updates<P: Participant>(acc: &mut [f32], reference: &[f32], cohort: &[(&P, f32)]) {
+    assert_eq!(acc.len(), reference.len(), "accumulator/reference length mismatch");
+    const LINE: usize = 16;
+    let threads = cia_data::parallel::num_threads();
+    let window = acc.len().div_ceil(threads).next_multiple_of(LINE).max(LINE);
+    cia_data::parallel::par_chunks_mut(acc, window, |w, out| {
+        for &(client, weight) in cohort {
+            client.accumulate_update_rows(reference, weight, w * window, out);
+        }
+    });
 }
 
 /// Client `i`'s training (and DP noise) RNG stream for round `t`.
@@ -1323,6 +1344,15 @@ mod tests {
 
     #[test]
     fn recorder_counts_clients_and_spans_phases() {
+        /// Opens one `attack_update` span per batch, as the momentum attack
+        /// does.
+        struct BatchSpans(cia_obs::Recorder);
+        impl RoundObserver for BatchSpans {
+            fn on_client_models(&mut self, models: &[&SharedModel]) {
+                let _update = self.0.span("attack_update");
+                assert_eq!(models.len(), 10, "every client, in one batch");
+            }
+        }
         let mut sim = make_sim(10, 2, SharingPolicy::Full);
         let rec = cia_obs::Recorder::new();
         rec.set_detail(true);
@@ -1331,27 +1361,34 @@ mod tests {
         assert_eq!(rec.counter(Counter::ClientsTrained), 20);
         assert_eq!(rec.counter(Counter::BytesMaterialized), 0, "NullObserver skips snapshots");
         assert_eq!(rec.histogram(Metric::TrainMicros).count(), 20);
+        sim.run(&mut BatchSpans(rec.clone()));
         let chunk = rec.drain();
-        for phase in ["sample", "train", "attack", "aggregate", "evaluate"] {
+        for phase in ["sample", "train", "fold", "attack", "aggregate", "evaluate"] {
             assert_eq!(
                 chunk.spans.iter().filter(|s| s.name == phase).count(),
-                2,
+                4,
                 "one {phase} span per round"
             );
         }
+        assert_eq!(
+            chunk.spans.iter().filter(|s| s.name == "attack_update").count(),
+            2,
+            "one attack_update span per observed round"
+        );
         // The per-message trace: one span per dispatched batch, nested under
         // the round's train phase on the driving thread — the clients of a
-        // batch train on workers, which open no spans.
+        // batch train on workers, which open no spans. The fold is one span
+        // of its own, nested under train; no message carries it.
         for msg in ["msg:train_request", "msg:model_update"] {
             assert_eq!(
                 chunk.spans.iter().filter(|s| s.name == msg).count(),
-                2,
+                4,
                 "one {msg} batch span per round"
             );
         }
-        // The fold chain keeps one link in flight: a batch per hop.
-        let folds = chunk.spans.iter().filter(|s| s.name == "msg:fold").count();
-        assert_eq!(folds, 2 * 20, "one msg:fold batch span per hop");
+        assert!(chunk.spans.iter().all(|s| s.name != "msg:fold"), "no fold messages");
+        let depth = |name| chunk.spans.iter().find(|s| s.name == name).expect(name).depth;
+        assert_eq!(depth("fold"), depth("train") + 1, "fold nests under train");
         let driving = chunk.spans.iter().find(|s| s.name == "train").expect("train span").tid;
         assert!(
             chunk.spans.iter().all(|s| s.tid == driving),
@@ -1413,8 +1450,8 @@ mod tests {
 
     #[test]
     fn interleaving_seeds_cannot_change_fl_bytes() {
-        // Updates land in per-client slots and the fold chain keeps one
-        // link in flight, so any interleaving seed replays the FIFO bytes —
+        // Updates land in per-client slots and the server folds them in
+        // client order, so any interleaving seed replays the FIFO bytes —
         // under partial participation, weighting by examples and DP alike.
         let partial = || {
             let mut sim = make_sim(9, 2, SharingPolicy::Full);

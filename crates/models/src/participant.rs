@@ -214,6 +214,40 @@ pub trait Participant: Send + Sync {
         }
     }
 
+    /// [`Participant::accumulate_update`] restricted to the window
+    /// `[offset, offset + out.len())` of the parameter vector: `out` is that
+    /// window of the accumulator. The FedAvg server splits its accumulator
+    /// into disjoint windows, one per worker, and each worker folds every
+    /// sampled client into its own window.
+    ///
+    /// Contract: folding any partition of `0..agg_len()` into windows, one
+    /// call per window, leaves the accumulator bit-identical to one
+    /// `accumulate_update` call, whatever the parameters hold (±inf and NaN
+    /// included; only the sign and payload of a NaN, which Rust leaves
+    /// unspecified, may differ). Implementations that override
+    /// `accumulate_update` with a sparse pass must override this method to
+    /// skip the same parameters. The default is the dense pass over the
+    /// window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window runs past the parameters or `reference` has the
+    /// wrong length.
+    fn accumulate_update_rows(
+        &self,
+        reference: &[f32],
+        weight: f32,
+        offset: usize,
+        out: &mut [f32],
+    ) {
+        let agg = self.agg();
+        assert_eq!(agg.len(), reference.len(), "reference length mismatch");
+        let window = offset..offset + out.len();
+        for ((o, &a), &r) in out.iter_mut().zip(&agg[window.clone()]).zip(&reference[window]) {
+            *o += weight * (a - r);
+        }
+    }
+
     /// Number of local training examples (FedAvg weighting).
     fn num_examples(&self) -> usize;
 

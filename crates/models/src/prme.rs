@@ -509,6 +509,25 @@ impl Participant for PrmeClient {
         }
     }
 
+    fn accumulate_update_rows(
+        &self,
+        reference: &[f32],
+        weight: f32,
+        offset: usize,
+        out: &mut [f32],
+    ) {
+        // The mask covers every preference and sequential row.
+        crate::kernel::masked_row_delta(
+            self.spec.dim,
+            &self.touched_mask,
+            &self.agg,
+            reference,
+            weight,
+            offset,
+            out,
+        );
+    }
+
     fn num_examples(&self) -> usize {
         self.train_items.len()
     }

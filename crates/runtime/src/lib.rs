@@ -93,7 +93,10 @@ pub enum Msg {
         /// Snapshot carcass to fill when the round materializes models.
         snap: Option<SharedModel>,
     },
-    /// Client → server: the trained reply.
+    /// Client → server: the trained reply. No message carries the
+    /// aggregation itself: once the training batch drains, the server folds
+    /// every sampled client's update in one data-parallel pass over its own
+    /// accumulator (`cia_federated::fold_updates`).
     ModelUpdate {
         /// Round index.
         round: u64,
@@ -103,22 +106,6 @@ pub enum Msg {
         loss: f32,
         /// The materialized snapshot, when requested.
         snap: Option<SharedModel>,
-    },
-    /// One link of the aggregation chain, with exactly one link in flight.
-    /// Server → client: fold `weight · (own − global)` into `acc` (the
-    /// client's sparse update, [`cia_models::Participant::accumulate_update`]).
-    /// Client → server: the same message handed back with `acc` folded, so
-    /// the server can pass the accumulator to the next client in ascending
-    /// index order.
-    Fold {
-        /// Round index.
-        round: u64,
-        /// The client's normalized aggregation weight (`wᵢ / Σw`).
-        weight: f32,
-        /// The round's broadcast global model: the fold's reference.
-        global: Arc<Vec<f32>>,
-        /// The shared sparse-update accumulator.
-        acc: Vec<f32>,
     },
     /// The post-aggregation broadcast of the new global model — the hook
     /// where snapshot publication to `cia-serve` is scheduled as an event
@@ -216,7 +203,6 @@ impl Msg {
         match self {
             Msg::TrainRequest { .. } => "msg:train_request",
             Msg::ModelUpdate { .. } => "msg:model_update",
-            Msg::Fold { .. } => "msg:fold",
             Msg::GlobalBroadcast { .. } => "msg:global_broadcast",
             Msg::ViewPush { .. } => "msg:view_push",
             Msg::ModelPush { .. } => "msg:model_push",

@@ -41,9 +41,11 @@ const MAGIC: u32 = 0x4349_4153;
 // scheduler at the round boundary. The codec covers the full [`Msg`] surface
 // so a kill between any two rounds restores the queue verbatim. An empty
 // section (written by older builds' fused round loops) re-derives the
-// refresh timers on the next round. Message tag 12 (`Fold`, the FedAvg
-// aggregation chain) joined the surface without a version bump: no v5 file
-// holds it, and every v5 file still decodes.
+// refresh timers on the next round. Tag 12 (`Fold`, the FedAvg aggregation
+// chain) was on the surface for a while without a version bump and is gone
+// again: the server now folds updates without messages, FedAvg checkpoints
+// save no queue and gossip never sent it, so no v5 file holds the tag, and
+// decoding one fails with the `unknown message tag` error.
 // v4: undelivered gossip inbox models are delta-encoded against the sender's
 // `prev_sent` reference (its momentum of clean outgoing state) — sparse
 // training touches a handful of item rows per round, so the last undelivered
@@ -563,9 +565,9 @@ impl Writer {
     /// the refresh timers that cross rounds in practice — survives a kill.
     fn msg(&mut self, m: &Msg) {
         match m {
-            // Tags 0 and 1 keep their v5 layout: the accumulator the FedAvg
-            // chain once threaded through them travels in `Fold` now, so its
-            // slots are written empty and skipped on read.
+            // Tags 0 and 1 keep their v5 layout: the accumulator slots the
+            // FedAvg chain once threaded through them are written empty and
+            // skipped on read (the server folds updates without messages).
             Msg::TrainRequest { round, epochs, global, snap } => {
                 self.u8(0);
                 self.u64(*round);
@@ -582,13 +584,6 @@ impl Writer {
                 self.f32(*loss);
                 self.opt_f32s(None);
                 self.opt_model(snap.as_ref());
-            }
-            Msg::Fold { round, weight, global, acc } => {
-                self.u8(12);
-                self.u64(*round);
-                self.f32(*weight);
-                self.f32s(global);
-                self.f32s(acc);
             }
             Msg::GlobalBroadcast { round } => {
                 self.u8(2);
@@ -837,12 +832,6 @@ impl Reader<'_> {
             9 => Msg::RouteFlush { round: self.u64()? },
             10 => Msg::RoundStart { round: self.u64()? },
             11 => Msg::RoundEnd { round: self.u64()? },
-            12 => Msg::Fold {
-                round: self.u64()?,
-                weight: self.f32()?,
-                global: Arc::new(self.f32s()?),
-                acc: self.f32s()?,
-            },
             tag => return Err(format!("unknown message tag {tag}")),
         })
     }
@@ -965,14 +954,8 @@ mod tests {
         let global = Arc::new(vec![0.5f32, 1.0e-40]);
         let msgs = vec![
             Msg::TrainRequest { round: 4, epochs: 2, global: Arc::clone(&global), snap: None },
-            Msg::TrainRequest {
-                round: 4,
-                epochs: 1,
-                global: Arc::clone(&global),
-                snap: Some(model.clone()),
-            },
+            Msg::TrainRequest { round: 4, epochs: 1, global, snap: Some(model.clone()) },
             Msg::ModelUpdate { round: 4, client: 3, loss: 0.75, snap: Some(model.clone()) },
-            Msg::Fold { round: 4, weight: 0.125, global, acc: vec![-0.0, 2.0] },
             Msg::GlobalBroadcast { round: 4 },
             Msg::ViewPush { round: 4, view: vec![1, 0] },
             Msg::ModelPush { round: 4, sender: 1, dest: 0, model: model.clone() },
@@ -1023,6 +1006,36 @@ mod tests {
             Msg::ModelUpdate { round: 7, client: 3, loss: 0.5, snap: None }
         );
         assert_eq!(r.pos, w.buf.len());
+    }
+
+    #[test]
+    fn a_saved_fold_event_is_refused() {
+        // Tag 12 carried the retired FedAvg fold chain (round, weight,
+        // global, accumulator). A queue holding one decodes to an error.
+        let event = SavedEvent { at: 42, dst: 1, timer: false, msg: Msg::RoundEnd { round: 4 } };
+        let mut ck = sample();
+        let ProtocolState::Gl(state) = &mut ck.protocol else { panic!("sample is gossip") };
+        state.pending = vec![event.clone()];
+        let mut bytes = ck.encode();
+        // Splice a hand-encoded fold event over the pending one.
+        let mut saved = Writer::default();
+        saved.saved_event(&event);
+        let mut fold = Writer::default();
+        fold.u64(42);
+        fold.u32(1);
+        fold.u8(0);
+        fold.u8(12);
+        fold.u64(4);
+        fold.f32(0.125);
+        fold.f32s(&[0.5, 1.0e-40]);
+        fold.f32s(&[-0.0, 2.0]);
+        let at = bytes
+            .windows(saved.buf.len())
+            .position(|w| w == saved.buf.as_slice())
+            .expect("the pending event is encoded");
+        bytes.splice(at..at + saved.buf.len(), fold.buf);
+        let err = Checkpoint::decode(&bytes, 0xFEED).expect_err("tag 12 must be refused");
+        assert!(err.contains("unknown message tag 12"), "{err}");
     }
 
     #[test]

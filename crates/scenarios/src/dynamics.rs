@@ -223,6 +223,10 @@ impl<O: RoundObserver> RoundObserver for FlDynamics<'_, O> {
         self.inner.on_client_model(model);
     }
 
+    fn on_client_models(&mut self, models: &[&SharedModel]) {
+        self.inner.on_client_models(models);
+    }
+
     fn observes_models(&self) -> bool {
         self.inner.observes_models()
     }
@@ -286,6 +290,37 @@ mod tests {
             initial_online: 0.9,
             ..DynamicsSpec::default()
         }
+    }
+
+    #[test]
+    fn fl_adapter_forwards_the_batched_upload_call() {
+        /// Counts batched calls and the single-model calls apart.
+        #[derive(Default)]
+        struct Counting {
+            batches: Vec<Vec<u32>>,
+            singles: usize,
+        }
+        impl RoundObserver for Counting {
+            fn on_client_model(&mut self, _model: &SharedModel) {
+                self.singles += 1;
+            }
+            fn on_client_models(&mut self, models: &[&SharedModel]) {
+                self.batches.push(models.iter().map(|m| m.owner.raw()).collect());
+            }
+        }
+        let mut inner = Counting::default();
+        let mut dynamics = ParticipantDynamics::new(&DynamicsSpec::default(), 3, 1);
+        let mut adapter = FlDynamics { inner: &mut inner, dynamics: &mut dynamics };
+        let model = |u| SharedModel {
+            owner: cia_data::UserId::new(u),
+            round: 0,
+            owner_emb: None,
+            agg: vec![0.5],
+        };
+        let (a, b) = (model(0), model(2));
+        adapter.on_client_models(&[&a, &b]);
+        assert_eq!(inner.batches, vec![vec![0, 2]], "one batch, forwarded whole");
+        assert_eq!(inner.singles, 0);
     }
 
     #[test]

@@ -10,7 +10,9 @@
 #
 # `--scale paper` additionally unlocks the paper-scale (943×1682) end-to-end
 # round-cost benchmarks (fedavg_round_paper_943x1682,
-# gossip_round_paper_943x1682). They are env-gated rather than always-on so
+# gossip_round_paper_943x1682) and the FedAvg server's fold alone
+# (fedavg_fold_paper_943x13464; its smoke twin fedavg_fold_48_clients runs
+# at every scale). They are env-gated rather than always-on so
 # the `cargo bench -- --test` smoke gate and CI stay fast; run
 # `scripts/bench_kernels.sh --scale paper paper` to refresh only those rows.
 # With CIA_THREADS=N (N>1) the paper rows record under a `_tN` suffix, so a
